@@ -251,7 +251,8 @@ int main(int argc, char** argv) {
   BenchData bd = PrepareGw();
   std::vector<RunResult> runs;
   std::vector<std::string> labels;
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+  for (std::size_t shards :
+       {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
     RunResult r;
     if (!RunOne(bd, shards, threads, duration_ms, &r)) {
       std::fprintf(stderr, "serve bench failed at %zu shard(s)\n", shards);

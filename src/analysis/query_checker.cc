@@ -251,12 +251,14 @@ Status RunQuerySoundnessCheck(const QueryCheckOptions& opt,
   const EpochGrid& grid = bed.options.grid;
 
   // The sharded twin: the same data partitioned over N snapshot-isolated
-  // shards (the seed walks 1..4, covering the single-shard degenerate).
-  // The space is pinned to the bulk tree's query space so the shared
-  // fan-out context normalizes exactly like the unsharded processors even
-  // on the unconfigured-space seeds.
+  // shards. The seed walks 1, 2, 4 and 16 shards: the single-shard
+  // degenerate, and grids fine enough that queries skip whole shards and
+  // some shards stay empty. The space is pinned to the bulk tree's query
+  // space so the shared forest context normalizes exactly like the
+  // unsharded processors even on the unconfigured-space seeds.
+  constexpr std::size_t kShardCounts[] = {1, 2, 4, 16};
   ShardedStoreOptions so;
-  so.num_shards = static_cast<std::size_t>(opt.seed % 4) + 1;
+  so.num_shards = kShardCounts[opt.seed % 4];
   so.tree = bed.options;
   so.tree.space = bed.bulk->QuerySpace();
   std::unique_ptr<ShardedStore> sharded;
@@ -308,7 +310,7 @@ Status RunQuerySoundnessCheck(const QueryCheckOptions& opt,
     TAR_RETURN_NOT_OK(CompareResults(label, "streamed tree",
                                      streamed_results[qi], "scan", r_scan));
     ++rep->differential_checks;
-    // Sharded fan-out/merge == bulk tree, bit for bit (the shared-context
+    // Sharded forest search == bulk tree, bit for bit (the shared-context
     // normalization contract). No audit sink here: prune certificates
     // name node ids inside replicas the snapshot stores swap.
     TAR_RETURN_NOT_OK(

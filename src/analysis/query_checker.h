@@ -8,7 +8,7 @@
 // shards, and the ScanBaseline oracle) and a query workload. The checker
 // then asserts properties no correct implementation may violate:
 //
-//  differential — bulk tree, streamed tree, sharded fan-out/merge and
+//  differential — bulk tree, streamed tree, sharded forest search and
 //    sequential scan agree bit-for-bit on every query result (same
 //    normalizer derivation, same score arithmetic, same documented
 //    tie-break), and collective processing agrees with individual

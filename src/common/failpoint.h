@@ -95,10 +95,10 @@ int CurrentShard();
 
 /// \brief RAII shard scope for the calling thread.
 ///
-/// ShardedStore brackets every per-shard call (stage, publish, query
-/// fan-out, repair) with one of these so `site=...@shard:i` specs can
-/// target a single shard deterministically. Nests: the previous scope is
-/// restored on destruction.
+/// ShardedStore brackets every per-shard call (stage, publish, repair,
+/// and each shard tree's reads in a query) with one of these so
+/// `site=...@shard:i` specs can target a single shard deterministically.
+/// Nests: the previous scope is restored on destruction.
 class ScopedShard {
  public:
   explicit ScopedShard(int shard);

@@ -50,7 +50,7 @@ struct ServeOptions {
   /// Coverage mode while shards are quarantined (docs/internals.md,
   /// "Shard fault containment"). Strict (false): queries overlapping a
   /// quarantined shard fail fast with kUnavailable naming the shard and
-  /// its root cause. Partial (true): queries degrade to the merged top-k
+  /// its root cause. Partial (true): queries degrade to the top-k
   /// over the available shards, annotated with the missing shards and a
   /// sound score bound (the PR-8 degradation contract).
   bool partial_coverage = false;
@@ -111,7 +111,7 @@ class ShardedServer {
   void Stop();
 
   /// Client-facing query: admission check, deadline arm, sharded
-  /// fan-out. Shed queries return kUnavailable with a retry hint.
+  /// forest search. Shed queries return kUnavailable with a retry hint.
   Status Query(const KnntaQuery& query, std::vector<KnntaResult>* results);
 
   /// Enqueues an epoch batch for asynchronous ingestion. Rejected with
@@ -193,7 +193,14 @@ struct MixedLoadOptions {
 };
 
 /// \brief What a mixed read/write run measured.
+///
+/// Counts cover the whole run, including the ingest drain after the
+/// readers stop; the rates cover the reader window only.
 struct MixedLoadReport {
+  /// The reader window: start until the last reader (and the paced
+  /// writer) stopped.
+  double window_ms = 0.0;
+  /// The reader window plus the drain of the batches still queued.
   double wall_ms = 0.0;
   std::uint64_t reads_ok = 0;
   std::uint64_t reads_shed = 0;
@@ -206,6 +213,8 @@ struct MixedLoadReport {
   std::uint64_t reads_during_quarantine = 0;
   std::uint64_t quarantines = 0;
   std::uint64_t repairs = 0;
+  /// Reads completed and epoch batches applied inside the reader window,
+  /// per second of it.
   double read_qps = 0.0;
   double write_qps = 0.0;
   LatencySnapshot read_latency;
@@ -218,8 +227,9 @@ struct MixedLoadReport {
 };
 
 /// Runs readers + the paced write stream against `server` for
-/// `options.duration_ms`, then drains ingestion and fills `report`.
-/// The server must be Start()ed.
+/// `options.duration_ms`, then drains ingestion and fills `report`; the
+/// rates are computed over the reader window, so they do not depend on
+/// how long the drain takes. The server must be Start()ed.
 Status RunMixedLoad(ShardedServer* server, const MixedLoadOptions& options,
                     MixedLoadReport* report);
 

@@ -55,9 +55,9 @@ struct ShardFaultOptions {
   /// exhausted).
   int write_retries = 2;
 
-  /// Bounded in-place retries of a transient per-shard read failure
-  /// (page reads under the fan-out) before the failure counts as a
-  /// suspect strike.
+  /// Bounded retries of a transient per-shard read failure (page reads
+  /// under the forest search; each retry reruns the search) before the
+  /// failure counts as a suspect strike.
   int read_retries = 2;
 
   /// Base backoff between in-place retries; doubles per attempt.

@@ -233,7 +233,9 @@ void ShardedStore::PinCoherentCut(std::vector<TreeSnapshot>* snaps,
   // Writers are committing faster than a pin sweep completes; hold them
   // off for one sweep. The latch covers only the N Acquire calls (a few
   // atomics each), never the query work, and readers reach this path
-  // only under sustained write pressure.
+  // only under sustained write pressure. The last sweep's pins go first:
+  // the writer holding the latch may be waiting for them to drain.
+  snaps->clear();
   MutexLock lock(&writer_mu_);
   pin_all();
 }
@@ -532,46 +534,36 @@ void ShardedStore::ReportReadOk(std::size_t i) const {
   }
 }
 
-double ShardedStore::ShardScoreBound(const KnntaQuery& query,
-                                     const TarTree::QueryContext& ctx,
-                                     std::size_t i) const {
+double ShardedStore::CellMinS0(const TarTree::QueryContext& ctx,
+                               std::size_t i) const {
   // The shard's grid cell, extended to infinity on clamped boundary
   // sides: every position routed to the shard lies inside this region,
   // so mindist(q, region) lower-bounds the spatial term of any of its
-  // POIs.
+  // POIs. ShardOf and the cell edges round differently, so each edge
+  // moves out by a few ulps of the coordinates to keep every routed
+  // position inside.
   const Box2& space = options_.tree.space;
-  const std::size_t cx = i % gx_;
-  const std::size_t cy = i / gx_;
-  const double wx = (space.hi[0] - space.lo[0]) / static_cast<double>(gx_);
-  const double wy = (space.hi[1] - space.lo[1]) / static_cast<double>(gy_);
+  const std::size_t cell[2] = {i % gx_, i / gx_};
+  const std::size_t cells[2] = {gx_, gy_};
   const double inf = std::numeric_limits<double>::infinity();
-  const double lo_x =
-      cx == 0 ? -inf : space.lo[0] + static_cast<double>(cx) * wx;
-  const double hi_x =
-      cx + 1 == gx_ ? inf : space.lo[0] + static_cast<double>(cx + 1) * wx;
-  const double lo_y =
-      cy == 0 ? -inf : space.lo[1] + static_cast<double>(cy) * wy;
-  const double hi_y =
-      cy + 1 == gy_ ? inf : space.lo[1] + static_cast<double>(cy + 1) * wy;
-  const double dx =
-      std::max({0.0, lo_x - query.point.x, query.point.x - hi_x});
-  const double dy =
-      std::max({0.0, lo_y - query.point.y, query.point.y - hi_y});
-  const double mindist = std::sqrt(dx * dx + dy * dy);
-  // Aggregate term: no single POI of the shard can beat the shard's
-  // total digested aggregate plus everything still deferred in its redo
-  // buffer, so s1 >= 1 - M/gmax. The bound can go negative when the
-  // missing shard might hold the global maximum — vacuous but sound.
-  const TreeSnapshot snap = shards_[i]->Acquire();
-  const std::int64_t digested =
-      snap.valid() && !snap.tree().empty() ? snap.tree().global_tia().total()
-                                           : 0;
-  const double m =
-      static_cast<double>(digested) +
-      static_cast<double>(
-          states_[i]->redo_agg_total.load(std::memory_order_relaxed));
-  return ctx.alpha0 * (mindist / ctx.dmax) +
-         ctx.alpha1 * (1.0 - m / ctx.gmax);
+  Box3 region;
+  for (std::size_t d = 0; d < 2; ++d) {
+    const double lo = space.lo[d];
+    const double hi = space.hi[d];
+    region.lo[d] = -inf;
+    region.hi[d] = inf;
+    if (!(hi - lo > 0.0)) continue;  // ShardOf routes all to cell 0
+    const double width = (hi - lo) / static_cast<double>(cells[d]);
+    const double slack = 16.0 * std::numeric_limits<double>::epsilon() *
+                         (std::abs(lo) + std::abs(hi));
+    if (cell[d] > 0) {
+      region.lo[d] = lo + static_cast<double>(cell[d]) * width - slack;
+    }
+    if (cell[d] + 1 < cells[d]) {
+      region.hi[d] = lo + static_cast<double>(cell[d] + 1) * width + slack;
+    }
+  }
+  return MinDistToBox(ctx.q, region) / ctx.dmax;
 }
 
 Status ShardedStore::Query(const KnntaQuery& query,
@@ -591,7 +583,7 @@ Status ShardedStore::Query(const KnntaQuery& query,
 
   // Pin a coherent cut up front: one snapshot per covered shard,
   // validated by the apply_seq_ seqlock to span no cross-shard mutation,
-  // so the fan-out never merges epoch N from shard i with epoch N-1 from
+  // so the search never mixes epoch N from shard i with epoch N-1 from
   // shard j while writers keep publishing new versions underneath.
   // Quarantined/recovering shards are excluded here.
   std::vector<TreeSnapshot> snaps;
@@ -610,27 +602,56 @@ Status ShardedStore::Query(const KnntaQuery& query,
     }
   }
 
-  // Per-shard reads get a bounded in-place retry of transient faults
-  // before the failure counts against the shard's health. Deadline trips
-  // are query failures, not shard faults: they propagate untouched.
-  auto read_with_retry = [&](std::size_t i, auto&& fn) -> Status {
-    fail::ScopedShard scope(static_cast<int>(i));
-    Status st = fn();
-    for (int attempt = 0; attempt < options_.fault.read_retries && !st.ok();
-         ++attempt) {
-      if (st.IsDeadlineExceeded() || st.IsCancelled()) return st;
-      if (!IsTransientFault(st)) break;
+  // One shared context for every shard in the search (see the file
+  // comment): dmax from the common configured space, gmax from the
+  // search's own gmax pass.
+  TarTree::QueryContext ctx;
+  ctx.q = query.point;
+  ctx.interval = options_.tree.grid.AlignOutward(query.interval);
+  ctx.alpha0 = query.alpha0;
+  ctx.alpha1 = 1.0 - query.alpha0;
+  ctx.dmax = SpatialNormalizer(options_.tree.space);
+
+  // A failed read names its shard. A transient fault reruns the search,
+  // up to read_retries times per shard; past that the failure counts
+  // against the shard's health and either fails the query (strict) or
+  // drops the shard and reruns without it (partial). Deadline trips are
+  // query failures, not shard faults: they propagate untouched.
+  std::vector<int> retries(snaps.size(), 0);
+  std::vector<TarTree::ForestTree> forest;
+  for (;;) {
+    forest.clear();
+    for (std::size_t i = 0; i < snaps.size(); ++i) {
+      if (!snaps[i].valid() || snaps[i].tree().empty()) continue;
+      TarTree::ForestTree member;
+      member.tree = &snaps[i].tree();
+      member.fail_shard = static_cast<int>(i);
+      member.min_s0 = CellMinS0(ctx, i);
+      member.agg_bound = member.tree->global_tia().total();
+      forest.push_back(member);
+    }
+    std::size_t failed = forest.size();
+    Status st = [&]() -> Status {
+      auto gmax = TarTree::ForestMaxAggregate(forest, ctx.interval, stats,
+                                              deadline, &failed);
+      TAR_RETURN_NOT_OK(gmax.status());
+      ctx.gmax = AggregateNormalizer(gmax.ValueOrDie());
+      return TarTree::ForestQuery(query, ctx, forest, results, stats,
+                                  deadline, &failed);
+    }();
+    if (st.ok()) break;
+    if (st.IsDeadlineExceeded() || st.IsCancelled() ||
+        failed >= forest.size()) {
+      return st;
+    }
+    const std::size_t i = static_cast<std::size_t>(forest[failed].fail_shard);
+    if (retries[i] < options_.fault.read_retries && IsTransientFault(st)) {
       read_retries_.fetch_add(1, std::memory_order_relaxed);
       SleepMs(options_.fault.retry_backoff_ms *
-              static_cast<double>(1 << attempt));
-      st = fn();
+              static_cast<double>(1 << retries[i]));
+      ++retries[i];
+      continue;
     }
-    return st;
-  };
-  // A terminal per-shard failure either fails the query (strict) or
-  // drops the shard from coverage (partial); either way it is reported
-  // to the health tracker.
-  auto drop_or_fail = [&](std::size_t i, const Status& st) -> Status {
     ReportReadFailure(i, st);
     if (coverage == nullptr) {
       return st.WithContext("sharded store: shard " + std::to_string(i) +
@@ -639,64 +660,12 @@ Status ShardedStore::Query(const KnntaQuery& query,
     snaps[i].Release();
     missing.push_back(i);
     if (first_cause.ok()) first_cause = st;
-    return Status::OK();
-  };
-
-  // One shared context for every surviving shard (see the file comment):
-  // dmax from the common configured space, gmax from the global maximum
-  // aggregate over those shards.
-  TarTree::QueryContext ctx;
-  ctx.q = query.point;
-  ctx.interval = options_.tree.grid.AlignOutward(query.interval);
-  ctx.alpha0 = query.alpha0;
-  ctx.alpha1 = 1.0 - query.alpha0;
-  ctx.dmax = SpatialNormalizer(options_.tree.space);
-  std::int64_t gmax = 0;
-  for (std::size_t i = 0; i < snaps.size(); ++i) {
-    if (!snaps[i].valid()) continue;
-    std::int64_t shard_max = 0;
-    const Status st = read_with_retry(i, [&]() -> Status {
-      auto r = snaps[i].tree().MaxAggregate(ctx.interval, stats, deadline);
-      TAR_RETURN_NOT_OK(r.status());
-      shard_max = r.ValueOrDie();
-      return Status::OK();
-    });
-    if (st.IsDeadlineExceeded() || st.IsCancelled()) return st;
-    if (!st.ok()) {
-      TAR_RETURN_NOT_OK(drop_or_fail(i, st));
-      continue;
-    }
-    gmax = std::max(gmax, shard_max);
   }
-  ctx.gmax = AggregateNormalizer(gmax);
-
-  // Per-shard top-k suffices: every member of the global top-k is in its
-  // own shard's top-k (scores only depend on the shared context).
-  std::vector<KnntaResult> merged;
-  for (std::size_t i = 0; i < snaps.size(); ++i) {
-    if (!snaps[i].valid()) continue;
-    std::vector<KnntaResult> part;
-    const Status st = read_with_retry(i, [&]() -> Status {
-      part.clear();
-      return snaps[i].tree().QueryWithContext(query, ctx, &part, stats,
-                                              /*trace=*/nullptr, deadline,
-                                              /*partial=*/nullptr);
-    });
-    if (st.IsDeadlineExceeded() || st.IsCancelled()) return st;
-    if (!st.ok()) {
-      TAR_RETURN_NOT_OK(drop_or_fail(i, st));
-      continue;
-    }
-    ReportReadOk(i);
-    merged.insert(merged.end(), part.begin(), part.end());
+  // Only a read clears SUSPECT: a shard whose bounds kept it out of the
+  // search proved nothing about its health.
+  for (const TarTree::ForestTree& member : forest) {
+    if (member.read) ReportReadOk(static_cast<std::size_t>(member.fail_shard));
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const KnntaResult& a, const KnntaResult& b) {
-              if (a.score != b.score) return a.score < b.score;
-              return a.poi < b.poi;  // the uniform tie-break (PR 7)
-            });
-  if (merged.size() > query.k) merged.resize(query.k);
-  *results = std::move(merged);
 
   if (coverage != nullptr && !missing.empty()) {
     std::sort(missing.begin(), missing.end());
@@ -705,7 +674,16 @@ Status ShardedStore::Query(const KnntaQuery& query,
     coverage->cause = first_cause;
     double bound = std::numeric_limits<double>::infinity();
     for (std::size_t i : missing) {
-      bound = std::min(bound, ShardScoreBound(query, ctx, i));
+      // The bound of the shard's item in the search, with the aggregate
+      // bounded by everything the shard holds: its total digested
+      // aggregate plus everything still deferred in its redo buffer.
+      const TreeSnapshot snap = shards_[i]->Acquire();
+      TarTree::ForestTree absent;
+      absent.min_s0 = CellMinS0(ctx, i);
+      absent.agg_bound =
+          (snap.valid() ? snap.tree().global_tia().total() : 0) +
+          states_[i]->redo_agg_total.load(std::memory_order_relaxed);
+      bound = std::min(bound, absent.ScoreBound(ctx));
     }
     coverage->score_bound = bound;
   }

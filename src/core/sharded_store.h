@@ -1,25 +1,27 @@
 // Sharded TAR-tree store: N snapshot-isolated shards over a grid
-// partition of the data space, with a kNNTA fan-out/merge that is
+// partition of the data space, with a kNNTA forest search that is
 // bit-identical to one unsharded tree.
 //
 // Partitioning: the configured space is cut into gx x gy equal grid
 // cells (gx * gy == num_shards exactly), HBase-hybrid-index style; a POI
 // belongs to the cell containing its position, clamped to the edge cells
 // for positions on or outside the boundary. Spatial cells keep each
-// shard's R-tree compact, but correctness never depends on the
-// partition: any POI->shard assignment merges to the same answer.
+// shard's R-tree compact and let a query skip whole shards, but
+// correctness never depends on the partition: any POI->shard assignment
+// yields the same answer.
 //
-// Merge correctness: every shard scores entries with ONE shared
-// QueryContext (TarTree::QueryWithContext) whose gmax is the global
-// maximum over all shards and whose dmax comes from the shared
-// configured space. Leaf scores are pure functions of (context, POI
-// data), so each shard's top-k is exactly the unsharded tree's answer
-// restricted to that shard's POIs; merging the per-shard lists with the
-// uniform (score, poi_id) tie-break and truncating to k reproduces the
-// unsharded ranking bit for bit. A per-shard context would silently
-// break this — each shard would normalize aggregates by its local
-// maximum, and merged scores would not be comparable (the shard-merge
-// bug this design exists to prevent).
+// Forest search: every shard scores entries with ONE shared QueryContext
+// whose gmax is the maximum over all searched shards and whose dmax comes
+// from the shared configured space. Leaf scores are pure functions of
+// (context, POI data), and Property 1 holds across the whole forest, so
+// one best-first queue over all shard trees (TarTree::ForestMaxAggregate,
+// then TarTree::ForestQuery) pops POIs in ascending score, as one tree
+// holding all of them would; ranking by the uniform (score, poi_id)
+// tie-break reproduces the unsharded answer bit for bit. Each shard enters each queue as one item
+// bounded by its grid cell and its global TIA, so a shard whose bound
+// cannot compete is never read. A per-shard context would silently break
+// all of this — each shard would normalize aggregates by its local
+// maximum, and scores from different shards would not be comparable.
 //
 // Fault containment (docs/internals.md, "Shard fault containment"): a
 // shard whose WAL, apply, or page I/O fails is QUARANTINED with its root
@@ -82,7 +84,7 @@ struct ShardedStoreOptions {
 ///
 /// Passed to Query by callers serving in partial mode (PR-8 degradation
 /// semantics): when shards are quarantined the query still returns the
-/// merged top-k over the available shards, and this records what is
+/// top-k over the available shards, and this records what is
 /// missing plus a sound bound on what the missing shards could have
 /// contributed.
 struct ShardCoverage {
@@ -95,15 +97,16 @@ struct ShardCoverage {
 
   /// Sound lower bound on the score of ANY POI hosted by a missing
   /// shard: min over missing shards of
-  ///   alpha0 * mindist(q, region_i) / dmax + alpha1 * (1 - M_i / gmax)
+  ///   alpha0 * mindist(q, region_i) / dmax
+  ///     + alpha1 * (1 - min(1, M_i / gmax))
   /// where region_i is the shard's grid cell extended to infinity on
   /// clamped boundary sides (it contains every position routed to the
   /// shard) and M_i bounds the shard's largest per-POI aggregate by its
   /// total digested aggregate including deferred epochs. Every returned
   /// result with score < score_bound therefore keeps its rank even
-  /// against the missing data. +inf when nothing is missing. May be
-  /// negative (a vacuous bound) when a missing shard dominates the
-  /// aggregate mass.
+  /// against the missing data. +inf when nothing is missing. Falls to
+  /// the distance term alone when a missing shard might hold the
+  /// global maximum.
   double score_bound = std::numeric_limits<double>::infinity();
 
   /// Root cause of the first missing shard (OK when complete).
@@ -186,18 +189,22 @@ class ShardedStore {
   Status Flush();
 
   /// kNNTA over all shards: pins a coherent cut (one snapshot per shard,
-  /// spanning no cross-shard mutation — see PinCoherentCut), builds the
-  /// shared context, fans out, merges with the (score, poi_id)
-  /// tie-break. `deadline` is shared across the fan-out, so its budgets
-  /// bound the whole query, not each shard.
+  /// spanning no cross-shard mutation — see PinCoherentCut), then runs
+  /// one best-first search over the pinned shard trees with one shared
+  /// context (see the file comment), ranking by the (score, poi_id)
+  /// tie-break. Shards whose bounds cannot compete are not read.
+  /// `deadline` is shared across the forest, so its budgets bound the
+  /// whole query, not each shard.
   ///
   /// Coverage modes: with `coverage == nullptr` (strict) the query fails
-  /// fast with kUnavailable when any shard is quarantined or drops out.
-  /// With a ShardCoverage the query degrades instead: the merged top-k
-  /// over the available shards is returned and `coverage` reports the
-  /// missing shards, the root cause, and a sound score bound. Deadline
-  /// trips (kDeadlineExceeded/kCancelled) propagate in both modes — they
-  /// are query failures, not shard faults.
+  /// fast with kUnavailable when any shard is quarantined, and with the
+  /// read error (naming the shard) when a shard's read keeps failing.
+  /// With a ShardCoverage the query degrades instead: a failing shard is
+  /// dropped and the search reruns without it, the top-k over the
+  /// available shards is returned and `coverage` reports the missing
+  /// shards, the root cause, and a sound score bound. Deadline trips
+  /// (kDeadlineExceeded/kCancelled) propagate in both modes — they are
+  /// query failures, not shard faults.
   Status Query(const KnntaQuery& query, std::vector<KnntaResult>* results,
                AccessStats* stats = nullptr, QueryDeadline* deadline = nullptr,
                ShardCoverage* coverage = nullptr) const;
@@ -352,11 +359,13 @@ class ShardedStore {
   /// none): the redo-replay skip horizon.
   Result<std::int64_t> MaxDigestedEpoch(std::size_t i) const;
 
-  /// The partial-coverage score bound of missing shard i; see
-  /// ShardCoverage::score_bound.
-  double ShardScoreBound(const KnntaQuery& query,
-                         const TarTree::QueryContext& ctx,
-                         std::size_t i) const;
+  /// Lower bound on the normalized distance term of any POI routed to
+  /// shard i: mindist(q, region_i) / dmax, with region_i the shard's grid
+  /// cell extended to infinity on clamped boundary sides. With the
+  /// shard's aggregate bound it scores the shard's item in the forest
+  /// search and bounds a missing shard (ShardCoverage::score_bound), both
+  /// through TarTree::ForestTree::ScoreBound.
+  double CellMinS0(const TarTree::QueryContext& ctx, std::size_t i) const;
 
   const ShardedStoreOptions options_;
   /// Grid shape is fixed in Open before the store is published.
@@ -376,7 +385,7 @@ class ShardedStore {
   /// an epoch batch are being flipped live (a few atomic stores each —
   /// the slow stage/catch-up phases run outside the window), even when
   /// quiescent. PinCoherentCut accepts a pin sweep only if it spans one
-  /// stable even value, so the merged fan-out never observes an epoch
+  /// stable even value, so the forest search never observes an epoch
   /// batch published in shard i but not shard j (per-shard snapshots
   /// alone are coherent only per shard). Quarantine marking happens
   /// before the publish window of the same batch, so a sweep that

@@ -17,6 +17,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -245,12 +246,11 @@ class TarTree {
                                    QueryTrace* trace = nullptr,
                                    QueryDeadline* deadline = nullptr) const;
 
-  /// Query with a caller-supplied context instead of MakeContext. The
-  /// sharded fan-out (core/sharded_store.h) uses this to normalize every
-  /// shard with one shared dmax/gmax: per-shard contexts would make the
-  /// merged scores incomparable and break bit-equality with an unsharded
-  /// tree. `ctx.interval` is used as-is (the caller aligned it once);
-  /// everything else — validation, audit hooks, tracing, partial
+  /// Query with a caller-supplied context instead of MakeContext, e.g. to
+  /// score one shard of a sharded store with the store-wide dmax/gmax:
+  /// per-shard contexts would make scores from different shards
+  /// incomparable. `ctx.interval` is used as-is (the caller aligned it
+  /// once); everything else — validation, audit hooks, tracing, partial
   /// conversion, metrics — behaves exactly like Query.
   Status QueryWithContext(const KnntaQuery& query, const QueryContext& ctx,
                           std::vector<KnntaResult>* results,
@@ -266,6 +266,60 @@ class TarTree {
   Result<std::int64_t> MaxAggregate(const TimeInterval& iq,
                                     AccessStats* stats = nullptr,
                                     QueryDeadline* deadline = nullptr) const;
+
+  // --- Best-first search over a forest (core/sharded_store.h) ---
+
+  /// \brief One tree of a search over several trees, e.g. the shards of
+  /// a ShardedStore.
+  ///
+  /// Every tree is scored with one shared QueryContext, so Property 1
+  /// holds across the whole forest and one queue orders the entries of
+  /// all of them. Until its root is read, a tree is a single queue item
+  /// bounded by the fields below; a tree whose bound cannot compete is
+  /// never read.
+  struct ForestTree {
+    const TarTree* tree = nullptr;
+    /// Failpoint shard scope of the tree's node and TIA reads
+    /// (fail::ScopedShard); -1 keeps the caller's scope.
+    int fail_shard = -1;
+    /// Lower bound on the normalized distance term s0 of every POI in the
+    /// tree, e.g. mindist(q, region) / dmax for a region holding them all.
+    double min_s0 = 0.0;
+    /// Upper bound on any one POI's aggregate over the query interval.
+    /// Callers start from global_tia().total(), which needs no read. The
+    /// first time the tree's item reaches the top of a queue, the search
+    /// reads global_tia().Aggregate(interval) into it and sets `read`.
+    std::int64_t agg_bound = 0;
+    /// Set once a search has read the tree.
+    bool read = false;
+
+    /// Lower bound under `ctx` on the score of every POI in the tree:
+    ///   alpha0 * min_s0 + alpha1 * (1 - min(1, agg_bound / gmax)).
+    double ScoreBound(const QueryContext& ctx) const;
+  };
+
+  /// MaxAggregate over a forest: one max-heap seeded with one item per
+  /// non-empty tree, bounded by its agg_bound; the first POI popped holds
+  /// the maximum. On a failed read, `*failed` (optional) is the index of
+  /// the tree whose read failed.
+  static Result<std::int64_t> ForestMaxAggregate(std::span<ForestTree> forest,
+                                                 const TimeInterval& iq,
+                                                 AccessStats* stats,
+                                                 QueryDeadline* deadline,
+                                                 std::size_t* failed);
+
+  /// The top `query.k` over a forest, scored with the shared `ctx`: one
+  /// min-heap seeded with one item per non-empty tree, scored by its
+  /// ScoreBound. The search keeps popping while the queue top ties the
+  /// kth score, so a tied POI behind a tight node bound of another tree is
+  /// not missed, and orders the answer by (score, poi_id) — the ranking of
+  /// one tree holding every POI of the forest. The query must be valid
+  /// (TarTree::Query's checks); `*failed` as for ForestMaxAggregate.
+  static Status ForestQuery(const KnntaQuery& query, const QueryContext& ctx,
+                            std::span<ForestTree> forest,
+                            std::vector<KnntaResult>* results,
+                            AccessStats* stats, QueryDeadline* deadline,
+                            std::size_t* failed);
 
   /// Ranking score f(e) of an entry: exact for leaf entries, a consistent
   /// lower bound for internal entries (Property 1).
@@ -439,6 +493,31 @@ class TarTree {
                                           AccessStats* stats,
                                           QueryTrace::Phase* phase,
                                           QueryDeadline* deadline) const;
+
+  /// The best-first loops behind MaxAggregate and Query, over a forest.
+  /// `seed_roots` is the single-tree search: every root is expanded up
+  /// front and the top-k stops at its kth POI, as the paper's search
+  /// does. Otherwise each tree enters the queue as one bounded item (see
+  /// ForestTree) and the top-k resolves kth-score ties across trees.
+  /// `failed` (optional) receives the index of the tree whose read failed;
+  /// `cut_bound` tracks the frontier bound for partial results.
+  /// ReadAggBound is a tree item's first read: agg_bound over `iq`.
+  static Result<std::int64_t> MaxAggregateLoop(std::span<ForestTree> forest,
+                                               bool seed_roots,
+                                               const TimeInterval& iq,
+                                               AccessStats* stats,
+                                               QueryTrace::Phase* phase,
+                                               QueryDeadline* deadline,
+                                               std::size_t* failed);
+  static Status BestFirstLoop(const KnntaQuery& query, const QueryContext& ctx,
+                              std::span<ForestTree> forest, bool seed_roots,
+                              std::vector<KnntaResult>* results,
+                              AccessStats* stats, QueryTrace::Phase* phase,
+                              QueryDeadline* deadline, double* cut_bound,
+                              std::size_t* failed);
+  static Status ReadAggBound(ForestTree* member, const TimeInterval& iq,
+                             AccessStats* stats, QueryTrace::Phase* phase,
+                             QueryDeadline* deadline);
 
   /// Per-version load paths behind Load's magic/version dispatch. Both
   /// receive the stream positioned just past the 8-byte preamble.

@@ -13,8 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <vector>
 
+#include "core/sharded_store.h"
 #include "core/tar_tree.h"
 
 namespace tar {
@@ -24,8 +27,9 @@ namespace {
 std::uint32_t Mix(std::uint32_t x) { return x * 2654435761u; }
 
 /// 240 POIs on a jittered grid; each has a hash-derived per-epoch history
-/// over up to 24 weekly epochs.
-void BuildFixture(TarTree* tree) {
+/// over up to 24 weekly epochs. `insert` receives each POI in id order.
+template <typename Insert>
+void ForEachFixturePoi(Insert insert) {
   constexpr int kPois = 240;
   constexpr int kEpochs = 24;
   for (int i = 0; i < kPois; ++i) {
@@ -41,8 +45,14 @@ void BuildFixture(TarTree* tree) {
       // ~1/3 of (poi, epoch) cells are zero; the rest are in [1, 40].
       history[e] = (h % 3 == 0) ? 0 : static_cast<std::int32_t>(h % 40 + 1);
     }
-    ASSERT_TRUE(tree->InsertPoi(poi, history).ok());
+    insert(poi, history);
   }
+}
+
+void BuildFixture(TarTree* tree) {
+  ForEachFixturePoi([&](const Poi& poi, const std::vector<std::int32_t>& h) {
+    ASSERT_TRUE(tree->InsertPoi(poi, h).ok());
+  });
 }
 
 TarTreeOptions FixtureOptions() {
@@ -52,6 +62,16 @@ TarTreeOptions FixtureOptions() {
   opt.space.lo = {0.0, 0.0};
   opt.space.hi = {100.0, 94.0};
   return opt;
+}
+
+std::vector<KnntaQuery> PinnedQueries() {
+  const TimeInterval last8 = {16 * 7 * kSecondsPerDay,
+                              24 * 7 * kSecondsPerDay - 1};
+  const TimeInterval mid4 = {8 * 7 * kSecondsPerDay,
+                             12 * 7 * kSecondsPerDay - 1};
+  return {{{50.0, 47.0}, last8, 10, 0.3},
+          {{10.0, 80.0}, mid4, 5, 0.7},
+          {{95.0, 5.0}, last8, 20, 0.5}};
 }
 
 TEST(DeterminismTest, SingleThreadedNodeAccessCountsArePinned) {
@@ -76,16 +96,13 @@ TEST(DeterminismTest, SingleThreadedNodeAccessCountsArePinned) {
     std::uint64_t aggregate_calls;
     std::size_t num_results;
   };
-  const TimeInterval last8 = {16 * 7 * kSecondsPerDay,
-                              24 * 7 * kSecondsPerDay - 1};
-  const TimeInterval mid4 = {8 * 7 * kSecondsPerDay,
-                             12 * 7 * kSecondsPerDay - 1};
+  const std::vector<KnntaQuery> queries = PinnedQueries();
   const std::vector<Pinned> pinned = {
       // Query 0 runs against the cold pool (mostly misses); 1 and 2 run
       // against the residency query 0 left behind (mostly hits).
-      {{{50.0, 47.0}, last8, 10, 0.3}, 278, 25, 253, 239, 490, 490, 10},
-      {{{10.0, 80.0}, mid4, 5, 0.7}, 18, 17, 1, 327, 326, 326, 5},
-      {{{95.0, 5.0}, last8, 20, 0.5}, 19, 19, 0, 371, 369, 369, 20},
+      {queries[0], 278, 25, 253, 239, 490, 490, 10},
+      {queries[1], 18, 17, 1, 327, 326, 326, 5},
+      {queries[2], 19, 19, 0, 371, 369, 369, 20},
   };
 
   for (std::size_t i = 0; i < pinned.size(); ++i) {
@@ -106,6 +123,71 @@ TEST(DeterminismTest, SingleThreadedNodeAccessCountsArePinned) {
   // (hence hit/miss split) must not drift either.
   EXPECT_EQ(tree.tia_buffer_pool()->hits(), 937u);
   EXPECT_EQ(tree.tia_buffer_pool()->misses(), 254u);
+}
+
+// The sharded store's forest search on the same fixture and queries,
+// split over 4 and 16 grid shards: the answers equal the single tree's
+// bit for bit, and the access counts — one global-TIA read per shard the
+// search reaches, plus the nodes it expands — are pinned like the
+// single-tree counts above. Each shard tree keeps its own buffer pool at
+// the default quota, so the page split differs from the test above.
+TEST(DeterminismTest, ShardedForestAccessCountsArePinned) {
+  TarTree tree(FixtureOptions());
+  BuildFixture(&tree);
+
+  struct Pinned {
+    std::size_t shards;
+    std::size_t query;
+    std::uint64_t rtree_node_reads;
+    std::uint64_t entries_scanned;
+    std::uint64_t aggregate_calls;
+    std::uint64_t tia_page_reads;
+    std::uint64_t tia_buffer_hits;
+  };
+  const std::vector<Pinned> pinned = {
+      {4, 0, 26, 498, 502, 1, 507},
+      {4, 1, 16, 312, 316, 0, 321},
+      {4, 2, 22, 403, 407, 0, 413},
+      {16, 0, 28, 430, 446, 16, 446},
+      {16, 1, 20, 301, 317, 0, 339},
+      {16, 2, 23, 346, 362, 0, 378},
+  };
+  const std::vector<KnntaQuery> queries = PinnedQueries();
+  std::unique_ptr<ShardedStore> store;
+  for (const Pinned& pin : pinned) {
+    SCOPED_TRACE("shards " + std::to_string(pin.shards) + ", query " +
+                 std::to_string(pin.query));
+    if (store == nullptr || store->num_shards() != pin.shards) {
+      ShardedStoreOptions so;
+      so.num_shards = pin.shards;
+      so.tree = FixtureOptions();
+      auto opened = ShardedStore::Open(so);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      store = std::move(opened).ValueOrDie();
+      ForEachFixturePoi(
+          [&](const Poi& poi, const std::vector<std::int32_t>& h) {
+            ASSERT_TRUE(store->InsertPoi(poi, h).ok());
+          });
+    }
+    const KnntaQuery& q = queries[pin.query];
+    std::vector<KnntaResult> want;
+    std::vector<KnntaResult> got;
+    AccessStats stats;
+    ASSERT_TRUE(tree.Query(q, &want).ok());
+    ASSERT_TRUE(store->Query(q, &got, &stats).ok());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].poi, want[i].poi) << "rank " << i;
+      EXPECT_EQ(std::memcmp(&got[i].score, &want[i].score, sizeof(double)),
+                0)
+          << "rank " << i;
+    }
+    EXPECT_EQ(stats.rtree_node_reads, pin.rtree_node_reads);
+    EXPECT_EQ(stats.entries_scanned, pin.entries_scanned);
+    EXPECT_EQ(stats.aggregate_calls, pin.aggregate_calls);
+    EXPECT_EQ(stats.tia_page_reads, pin.tia_page_reads);
+    EXPECT_EQ(stats.tia_buffer_hits, pin.tia_buffer_hits);
+  }
 }
 
 }  // namespace

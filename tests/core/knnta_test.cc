@@ -2,6 +2,8 @@
 // normalizer search, context construction and determinism.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/random.h"
 #include "core/query_audit.h"
 #include "core/tar_tree.h"
@@ -200,6 +202,56 @@ class CountingSink : public QueryAuditSink {
   int certs = 0;
   int bound_certs = 0;
 };
+
+// A forest search keeps popping while the queue top ties the kth score.
+// Tree B's item is bounded by exactly its one POI's score (min_s0 is that
+// POI's own distance term), which ties tree A's POI: A's POI is the kth
+// popped, yet the answer is B's, which ranks first by (score, poi_id) —
+// as in one tree holding both.
+TEST(ForestQueryTest, ResolvesKthScoreTiesBehindATightTreeBound) {
+  TarTreeOptions opt;
+  opt.grid = EpochGrid(0, kEpochLen);
+  opt.space =
+      Box2::Union(Box2::FromPoint({0, 0}), Box2::FromPoint({100, 100}));
+  const std::vector<std::int32_t> history = {3, 5, 2};
+  // Mirror positions around the query point: bit-identical scores.
+  const Poi a{2, {30.0, 30.0}};
+  const Poi b{1, {70.0, 70.0}};
+  TarTree tree_a(opt);
+  TarTree tree_b(opt);
+  TarTree both(opt);
+  ASSERT_TRUE(tree_a.InsertPoi(a, history).ok());
+  ASSERT_TRUE(tree_b.InsertPoi(b, history).ok());
+  ASSERT_TRUE(both.InsertPoi(a, history).ok());
+  ASSERT_TRUE(both.InsertPoi(b, history).ok());
+
+  KnntaQuery q;
+  q.point = {50.0, 50.0};
+  q.interval = {0, 3 * kEpochLen - 1};
+  q.k = 1;
+  q.alpha0 = 0.5;
+  std::vector<KnntaResult> want;
+  ASSERT_TRUE(both.Query(q, &want).ok());
+  ASSERT_EQ(want.size(), 1u);
+  ASSERT_EQ(want[0].poi, b.id);
+
+  const TarTree::QueryContext ctx = both.MakeContext(q).ValueOrDie();
+  std::vector<TarTree::ForestTree> forest(2);
+  forest[0].tree = &tree_a;
+  forest[0].agg_bound = tree_a.global_tia().total();
+  forest[1].tree = &tree_b;
+  forest[1].min_s0 = MinDistToBox(q.point, PointBox(b.pos, 0.0)) / ctx.dmax;
+  forest[1].agg_bound = tree_b.global_tia().total();
+  std::vector<KnntaResult> got;
+  ASSERT_TRUE(
+      TarTree::ForestQuery(q, ctx, forest, &got, nullptr, nullptr, nullptr)
+          .ok());
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].poi, b.id);
+  EXPECT_EQ(std::memcmp(&got[0].score, &want[0].score, sizeof(double)), 0);
+  EXPECT_TRUE(forest[0].read);
+  EXPECT_TRUE(forest[1].read);
+}
 
 TEST(QueryAuditHookTest, BestFirstSearchEmitsCertificates) {
   Fixture fx(41);

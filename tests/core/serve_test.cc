@@ -268,6 +268,48 @@ std::unique_ptr<ShardedStore> MakeDurableStore(const std::string& prefix,
   return store;
 }
 
+// The rates count the reader window only. Here every batch waits 25 ms in
+// shard 0's WAL append while the writer submits one every 2 ms, so the
+// drain after the readers stop outlasts the window; dividing by the wall
+// time would report a fraction of the real read rate.
+TEST(ServeTest, MixedLoadRatesDoNotDependOnTheDrain) {
+  fail::FaultInjector& injector = fail::FaultInjector::Global();
+  injector.Clear();
+  const std::string prefix = ::testing::TempDir() + "/serve_slow_ingest";
+  std::unique_ptr<ShardedStore> store = MakeDurableStore(prefix);
+  ASSERT_NE(store, nullptr);
+  ShardedServer server(store.get(), ServeOptions{});
+  server.Start();
+
+  MixedLoadOptions mopt;
+  mopt.reader_threads = 1;
+  mopt.duration_ms = 50.0;
+  mopt.write_interval_ms = 2.0;
+  mopt.first_epoch = 4;
+  for (std::int64_t e = 0; e < 4; ++e) {
+    mopt.epoch_batches.push_back(EpochBatch(e));
+  }
+  for (int i = 0; i < 8; ++i) mopt.queries.push_back(ProbeQuery(i));
+  ASSERT_TRUE(injector.Configure("wal.append=delay@25@shard:0").ok());
+  MixedLoadReport report;
+  const Status st = RunMixedLoad(&server, mopt, &report);
+  injector.Clear();
+  server.Stop();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+
+  ASSERT_GT(report.reads_ok, 0u);
+  EXPECT_GE(report.window_ms, mopt.duration_ms);
+  EXPECT_GT(report.wall_ms, 2.0 * report.window_ms)
+      << "the drain should outlast the reader window";
+  EXPECT_DOUBLE_EQ(report.read_qps, 1e3 * static_cast<double>(report.reads_ok) /
+                                        report.window_ms);
+  // Batches applied during the drain do not count toward the rate.
+  EXPECT_LT(report.write_qps * report.window_ms / 1e3,
+            static_cast<double>(report.writes));
+  const std::string json = report.ToJson("test", 4, 1);
+  EXPECT_NE(json.find("\"window_ms\":"), std::string::npos) << json;
+}
+
 // The availability headline: a shard's WAL dies under live traffic, the
 // server keeps answering from the healthy shards in partial-coverage
 // mode, and the background repair worker heals the shard without a

@@ -1,8 +1,10 @@
 // Sharded store: grid routing, all-or-nothing cross-shard batches, and
-// the merge-correctness contract — the sharded fan-out answers every
-// query bit-identically to one unsharded tree, including duplicate-score
-// ties straddling shard boundaries (the shard-merge bug this PR fixes:
-// per-shard normalizers would make merged scores incomparable).
+// the ranking contract — the forest search answers every query
+// bit-identically to one unsharded tree, including duplicate-score ties
+// straddling shard boundaries (per-shard normalizers would make scores
+// from different shards incomparable) — plus its fault containment: a
+// shard the search never reads is never blamed, and a shard whose reads
+// fail mid-search drops out of a partial answer.
 #include "core/sharded_store.h"
 
 #include <atomic>
@@ -135,7 +137,7 @@ TEST(ShardedStoreTest, MergedRankingMatchesUnshardedTreeBitExactly) {
     ASSERT_TRUE(reference.InsertPoi(f.pois[i], f.histories[i]).ok());
   }
 
-  for (std::size_t shards : {1u, 2u, 3u, 4u, 6u}) {
+  for (std::size_t shards : {1u, 2u, 3u, 4u, 6u, 9u, 16u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     std::unique_ptr<ShardedStore> store = OpenStore(shards);
     for (std::size_t i = 0; i < f.pois.size(); ++i) {
@@ -151,6 +153,142 @@ TEST(ShardedStoreTest, MergedRankingMatchesUnshardedTreeBitExactly) {
       ExpectBitIdentical(got, want);
     }
   }
+}
+
+/// The total of the armed failpoint's counted hits for `site`.
+std::uint64_t FailpointHits(const std::string& site) {
+  std::uint64_t hits = 0;
+  for (const fail::SiteReport& r : fail::FaultInjector::Global().Snapshot()) {
+    if (r.site == site) hits += r.hits;
+  }
+  return hits;
+}
+
+/// POIs in a 2x2 grid over [0,100]^2 (shard = cy * 2 + cx): `per_epoch`
+/// check-ins in each of 6 epochs for POIs `first`..`first + n - 1` placed
+/// along a short diagonal from `at`.
+void AddCluster(std::vector<Poi>* pois,
+                std::vector<std::vector<std::int32_t>>* histories,
+                PoiId first, int n, Vec2 at, std::int32_t per_epoch) {
+  for (int i = 0; i < n; ++i) {
+    pois->push_back(Poi{first + static_cast<PoiId>(i),
+                        {at.x + 2.0 * i, at.y + 1.5 * i}});
+    histories->push_back(
+        std::vector<std::int32_t>(6, per_epoch - static_cast<int>(i % 2)));
+  }
+}
+
+// A shard whose seed bound cannot compete is never read: with every page
+// fetch of far shard 3 failing, a query near shard 0 succeeds, the shard
+// stays HEALTHY, and the failpoint never sees a hit. Its gmax item (the
+// shard's global-TIA total) stays below the answer's gmax, and its top-k
+// item (cell distance plus that total) stays above the kth score.
+TEST(ShardedStoreTest, FarShardIsNeverReadByAQueryItsBoundCannotReach) {
+  fail::FaultInjector& injector = fail::FaultInjector::Global();
+  injector.Clear();
+  std::vector<Poi> pois;
+  std::vector<std::vector<std::int32_t>> histories;
+  AddCluster(&pois, &histories, 1, 6, {5, 5}, 20);     // shard 0, hot
+  AddCluster(&pois, &histories, 11, 4, {60, 10}, 5);   // shard 1
+  AddCluster(&pois, &histories, 21, 4, {10, 60}, 5);   // shard 2
+  AddCluster(&pois, &histories, 31, 3, {80, 80}, 1);   // shard 3, far, cold
+  std::unique_ptr<ShardedStore> store = OpenStore(4);
+  TarTree reference(TreeOptions());
+  for (std::size_t i = 0; i < pois.size(); ++i) {
+    ASSERT_TRUE(store->InsertPoi(pois[i], histories[i]).ok());
+    ASSERT_TRUE(reference.InsertPoi(pois[i], histories[i]).ok());
+  }
+  ASSERT_EQ(store->ShardOf({80, 80}), 3u);
+
+  KnntaQuery q;
+  q.point = {5.0, 5.0};
+  q.interval = {0, 6 * kEpochLen - 1};
+  q.k = 3;
+  q.alpha0 = 0.5;
+  ASSERT_TRUE(injector.Configure("buffer_pool.fetch=err@shard:3").ok());
+  std::vector<KnntaResult> got;
+  std::vector<KnntaResult> want;
+  ASSERT_TRUE(store->Query(q, &got).ok());
+  EXPECT_EQ(FailpointHits("buffer_pool.fetch"), 0u);
+  EXPECT_EQ(store->shard_health(3), ShardHealth::kHealthy);
+  EXPECT_EQ(store->fault_stats().read_retries, 0u);
+  ASSERT_TRUE(reference.Query(q, &want).ok());
+  ExpectBitIdentical(got, want);
+
+  // The failpoint is live: a query the far shard's bound does reach
+  // reads it, fails naming it, and strikes it.
+  q.point = {85.0, 85.0};
+  q.alpha0 = 0.9;
+  const Status st = store->Query(q, &got);
+  EXPECT_GT(FailpointHits("buffer_pool.fetch"), 0u);
+  injector.Clear();
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("shard 3"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(store->shard_health(3), ShardHealth::kSuspect);
+
+  // Only a read clears SUSPECT: the near query, which never reads shard
+  // 3, leaves it suspect; the far query reads it and clears it.
+  q.point = {5.0, 5.0};
+  q.alpha0 = 0.5;
+  ASSERT_TRUE(store->Query(q, &got).ok());
+  EXPECT_EQ(store->shard_health(3), ShardHealth::kSuspect);
+  q.point = {85.0, 85.0};
+  q.alpha0 = 0.9;
+  ASSERT_TRUE(store->Query(q, &got).ok());
+  EXPECT_EQ(store->shard_health(3), ShardHealth::kHealthy);
+}
+
+// Partial mode: a shard whose reads fail once the search is under way
+// (shard 1 stays out of the gmax pass and fails when the top-k pass
+// reaches it) is dropped after its retries, and the search reruns
+// without it. The answer is bit-identical to one tree over the other
+// shards' POIs, and the coverage names the dropped shard.
+TEST(ShardedStoreTest, PartialModeDropsAShardWhoseReadsFailMidSearch) {
+  fail::FaultInjector& injector = fail::FaultInjector::Global();
+  injector.Clear();
+  std::vector<Poi> pois;
+  std::vector<std::vector<std::int32_t>> histories;
+  AddCluster(&pois, &histories, 1, 6, {10, 10}, 15);   // shard 0, hot
+  AddCluster(&pois, &histories, 11, 3, {70, 20}, 1);   // shard 1, victim
+  AddCluster(&pois, &histories, 21, 4, {10, 60}, 5);   // shard 2
+  AddCluster(&pois, &histories, 31, 4, {60, 60}, 5);   // shard 3
+  ShardedStoreOptions opt = StoreOptions(4);
+  opt.fault.retry_backoff_ms = 0.1;
+  auto opened = ShardedStore::Open(opt);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<ShardedStore> store = std::move(opened).ValueOrDie();
+  TarTree survivors(TreeOptions());
+  for (std::size_t i = 0; i < pois.size(); ++i) {
+    ASSERT_TRUE(store->InsertPoi(pois[i], histories[i]).ok());
+    if (store->ShardOf(pois[i].pos) != 1) {
+      ASSERT_TRUE(survivors.InsertPoi(pois[i], histories[i]).ok());
+    }
+  }
+  ASSERT_EQ(store->ShardOf({70, 20}), 1u);
+
+  KnntaQuery q;
+  q.point = {71.0, 21.0};
+  q.interval = {0, 6 * kEpochLen - 1};
+  q.k = 4;
+  q.alpha0 = 0.9;
+  ASSERT_TRUE(injector.Configure("buffer_pool.fetch=err@shard:1").ok());
+  std::vector<KnntaResult> got;
+  ShardCoverage coverage;
+  const Status st = store->Query(q, &got, nullptr, nullptr, &coverage);
+  injector.Clear();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_FALSE(coverage.complete);
+  ASSERT_EQ(coverage.missing.size(), 1u);
+  EXPECT_EQ(coverage.missing[0], 1u);
+  EXPECT_TRUE(coverage.cause.IsIoError()) << coverage.cause.ToString();
+  EXPECT_LT(coverage.score_bound, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(store->fault_stats().read_retries,
+            static_cast<std::uint64_t>(opt.fault.read_retries));
+  EXPECT_EQ(store->shard_health(1), ShardHealth::kSuspect);
+  std::vector<KnntaResult> want;
+  ASSERT_TRUE(survivors.Query(q, &want).ok());
+  ExpectBitIdentical(got, want);
 }
 
 TEST(ShardedStoreTest, CrossShardTieBreaksByPoiIdInTheMergedRanking) {

@@ -2385,9 +2385,10 @@ int Serve(const std::map<std::string, std::string>& flags) {
     return 1;
   }
 
-  std::printf("serve: %zu shards, %zu readers, %.0f ms: %llu reads "
-              "(%.0f/s), %llu shed, %llu failed\n",
-              store->num_shards(), threads, report.wall_ms,
+  std::printf("serve: %zu shards, %zu readers, %.0f ms window (%.0f ms "
+              "with the ingest drain): %llu reads (%.0f/s), %llu shed, "
+              "%llu failed\n",
+              store->num_shards(), threads, report.window_ms, report.wall_ms,
               static_cast<unsigned long long>(report.reads_ok),
               report.read_qps,
               static_cast<unsigned long long>(report.reads_shed),
