@@ -24,42 +24,51 @@ std::size_t QueriesFromEnv(std::size_t def) {
   return v > 0 ? static_cast<std::size_t>(v) : def;
 }
 
-BenchData Prepare(const GeneratorConfig& config, int epoch_days) {
-  BenchData bd;
-  bd.name = config.name;
-  bd.data = GenerateLbsn(config);
-  bd.grid = EpochGrid(0, epoch_days * kSecondsPerDay);
-  bd.counts = BuildEpochCounts(bd.data, bd.grid);
-  bd.effective = EffectivePois(bd.counts, config.effective_threshold);
-  bd.effective_threshold = config.effective_threshold;
-  return bd;
-}
-
 namespace {
 
-BenchData PrepareFromFile(const char* path, std::int64_t threshold,
-                          int epoch_days) {
+/// Buckets `data` into the epochs of `grid` and keeps the POIs with at
+/// least `threshold` check-ins.
+BenchData Bucket(std::string name, Dataset data, const EpochGrid& grid,
+                 std::int64_t threshold) {
   BenchData bd;
-  auto res = LoadSnapCheckinsFile(path);
-  if (!res.ok()) {
-    std::fprintf(stderr, "warning: cannot load %s (%s); using synthetic\n",
-                 path, res.status().ToString().c_str());
-    return PrepareGw(epoch_days);
-  }
-  bd.data = std::move(res).ValueOrDie();
-  bd.name = "GW(file)";
-  bd.grid = EpochGrid(0, epoch_days * kSecondsPerDay);
+  bd.name = std::move(name);
+  bd.data = std::move(data);
+  bd.grid = grid;
   bd.counts = BuildEpochCounts(bd.data, bd.grid);
   bd.effective = EffectivePois(bd.counts, threshold);
   bd.effective_threshold = threshold;
   return bd;
 }
 
+/// RFC 4180: a cell holding a comma, quote or line break is quoted, with
+/// its quotes doubled.
+std::string CsvCell(const std::string& cell) {
+  if (cell.find_first_of(",\"\r\n") == std::string::npos) return cell;
+  std::string quoted = "\"";
+  for (char ch : cell) {
+    if (ch == '"') quoted += '"';
+    quoted += ch;
+  }
+  return quoted + "\"";
+}
+
 }  // namespace
+
+BenchData Prepare(const GeneratorConfig& config, int epoch_days) {
+  return Bucket(config.name, GenerateLbsn(config),
+                EpochGrid(0, epoch_days * kSecondsPerDay),
+                config.effective_threshold);
+}
 
 BenchData PrepareGw(int epoch_days) {
   if (const char* path = std::getenv("TAR_GOWALLA_FILE")) {
-    return PrepareFromFile(path, 100, epoch_days);
+    auto res = LoadSnapCheckinsFile(path);
+    if (res.ok()) {
+      return Bucket("GW(file)", std::move(res).ValueOrDie(),
+                    EpochGrid(0, epoch_days * kSecondsPerDay), 100);
+    }
+    std::fprintf(stderr, "warning: cannot load %s (%s); using synthetic\n",
+                 path, res.status().ToString().c_str());
   }
   GeneratorConfig cfg = GwConfig(ScaleFromEnv());
   // At laptop scale the paper's threshold of 100 check-ins would leave too
@@ -78,11 +87,13 @@ BenchData PrepareGs(int epoch_days) {
 std::unique_ptr<TarTree> BuildTree(const BenchData& bd,
                                    GroupingStrategy strategy,
                                    std::size_t node_size_bytes,
-                                   std::size_t tia_buffer_slots) {
+                                   std::size_t tia_buffer_slots,
+                                   TiaBackend backend) {
   TarTreeOptions opt;
   opt.strategy = strategy;
   opt.node_size_bytes = node_size_bytes;
   opt.tia_buffer_slots = tia_buffer_slots;
+  opt.tia_backend = backend;
   opt.grid = bd.grid;
   opt.space = bd.data.bounds;
   auto tree = std::make_unique<TarTree>(opt);
@@ -122,15 +133,10 @@ std::vector<KnntaQuery> PaperQueries(const BenchData& bd, std::size_t n,
 }
 
 BenchData PrepareSnapshot(const BenchData& bd, double fraction) {
-  BenchData out;
-  out.name = bd.name;
-  out.data = bd.data.SnapshotUntil(
-      static_cast<Timestamp>(bd.data.t_end * fraction));
-  out.grid = bd.grid;
-  out.counts = BuildEpochCounts(out.data, out.grid);
-  out.effective = EffectivePois(out.counts, bd.effective_threshold);
-  out.effective_threshold = bd.effective_threshold;
-  return out;
+  return Bucket(bd.name,
+                bd.data.SnapshotUntil(
+                    static_cast<Timestamp>(bd.data.t_end * fraction)),
+                bd.grid, bd.effective_threshold);
 }
 
 ApproachSet BuildAll(const BenchData& bd, std::size_t node_size_bytes) {
@@ -157,9 +163,11 @@ ApproachCost RunQueries(const TarTree& tree,
       }
     }
   });
-  cost.cpu_ms /= static_cast<double>(queries.size());
-  cost.node_accesses = static_cast<double>(stats.NodeAccesses()) /
-                       static_cast<double>(queries.size());
+  const auto n = static_cast<double>(queries.size());
+  cost.cpu_ms /= n;
+  cost.node_accesses = static_cast<double>(stats.NodeAccesses()) / n;
+  cost.tia_reads = static_cast<double>(stats.tia_page_reads) / n;
+  cost.tia_hits = static_cast<double>(stats.tia_buffer_hits) / n;
   return cost;
 }
 
@@ -222,20 +230,25 @@ void Table::Print() const {
   }
   std::fflush(stdout);
 
-  // CSV alongside, for plotting.
+  // CSV alongside, for plotting; a CSV that cannot be written fails the run.
   ::mkdir("bench_results", 0755);
   std::string slug = title_;
   for (char& ch : slug) {
     if (!isalnum(static_cast<unsigned char>(ch))) ch = '_';
   }
-  std::ofstream csv("bench_results/" + slug + ".csv");
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    csv << columns_[c] << (c + 1 < columns_.size() ? "," : "\n");
-  }
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      csv << row[c] << (c + 1 < row.size() ? "," : "\n");
+  const std::string path = "bench_results/" + slug + ".csv";
+  std::ofstream csv(path);
+  auto write_line = [&csv](const std::vector<std::string>& cells) {
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      csv << CsvCell(cells[c]) << (c + 1 < cells.size() ? "," : "\n");
     }
+  };
+  write_line(columns_);
+  for (const auto& row : rows_) write_line(row);
+  csv.close();
+  if (!csv) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    std::exit(1);
   }
 }
 

@@ -3,7 +3,8 @@
 // construction for each grouping strategy, timing and table printing.
 //
 // Environment knobs:
-//   TAR_BENCH_SCALE    dataset scale factor (default 0.03; 1.0 = paper size)
+//   TAR_BENCH_SCALE    dataset scale factor (default 0.08, Table 2 0.03;
+//                      1.0 = paper size)
 //   TAR_BENCH_QUERIES  queries per measurement point (default 200)
 //   TAR_GOWALLA_FILE   path to a SNAP-format check-in file; when set, the
 //                      GW dataset is loaded from it instead of synthesized
@@ -52,7 +53,8 @@ BenchData PrepareGs(int epoch_days = 7);
 std::unique_ptr<TarTree> BuildTree(const BenchData& bd,
                                    GroupingStrategy strategy,
                                    std::size_t node_size_bytes = 1024,
-                                   std::size_t tia_buffer_slots = 10);
+                                   std::size_t tia_buffer_slots = 10,
+                                   TiaBackend backend = TiaBackend::kMvbt);
 
 /// Builds the sequential-scan baseline over the same POIs.
 std::unique_ptr<ScanBaseline> BuildScan(const BenchData& bd);
@@ -80,6 +82,8 @@ ApproachSet BuildAll(const BenchData& bd, std::size_t node_size_bytes = 1024);
 struct ApproachCost {
   double cpu_ms = 0.0;
   double node_accesses = 0.0;
+  double tia_reads = 0.0;  ///< TIA page reads that missed the buffer
+  double tia_hits = 0.0;   ///< TIA page reads the buffer served
 };
 
 ApproachCost RunQueries(const TarTree& tree,
@@ -96,7 +100,8 @@ class Table {
  public:
   Table(const std::string& title, const std::vector<std::string>& columns);
   void AddRow(const std::vector<std::string>& cells);
-  /// Prints the table and writes bench_results/<slug>.csv.
+  /// Prints the table and writes bench_results/<slug>.csv, quoting cells
+  /// per RFC 4180. Exits the process if the CSV cannot be written.
   void Print() const;
 
   static std::string Num(double v, int precision = 3);

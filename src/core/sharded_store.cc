@@ -27,11 +27,6 @@ std::size_t GridColumns(std::size_t n) {
   return gx;
 }
 
-/// Optimistic coherent-cut pin sweeps before falling back to pinning
-/// under the writer latch (reader-starvation bound, not a correctness
-/// knob).
-constexpr int kCoherentPinAttempts = 64;
-
 /// Monotone milliseconds for the circuit breakers (caller-clocked; the
 /// epoch is process start, which is all a backoff schedule needs).
 double NowMs() {
@@ -205,22 +200,19 @@ std::size_t ShardedStore::ShardOf(const Vec2& pos) const {
 
 void ShardedStore::PinCoherentCut(std::vector<TreeSnapshot>* snaps,
                                   std::vector<std::size_t>* missing) const {
-  auto pin_all = [&] {
-    snaps->clear();
-    snaps->resize(shards_.size());
-    missing->clear();
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (ShardCovered(i)) {
-        (*snaps)[i] = shards_[i]->Acquire();
-      } else {
-        missing->push_back(i);  // slot stays an invalid TreeSnapshot
-      }
-    }
-  };
-  for (int attempt = 0; attempt < kCoherentPinAttempts; ++attempt) {
+  for (;;) {
     const std::uint64_t seq = apply_seq_.load(std::memory_order_acquire);
     if (seq % 2 == 0) {
-      pin_all();
+      snaps->clear();
+      snaps->resize(shards_.size());
+      missing->clear();
+      for (std::size_t i = 0; i < shards_.size(); ++i) {
+        if (ShardCovered(i)) {
+          (*snaps)[i] = shards_[i]->Acquire();
+        } else {
+          missing->push_back(i);  // slot stays an invalid TreeSnapshot
+        }
+      }
       // Seqlock validate: if no cross-shard mutation started or finished
       // while we pinned, every snapshot belongs to the same store state.
       // Quarantine marking happens before the publish window of the same
@@ -228,16 +220,12 @@ void ShardedStore::PinCoherentCut(std::vector<TreeSnapshot>* snaps,
       // missed the batch.
       if (apply_seq_.load(std::memory_order_acquire) == seq) return;
     }
+    // An odd value spans only PublishStaged's atomic stores, never a WAL
+    // sync, drain or catch-up, so the retry waits microseconds. Pins of a
+    // failed sweep block no writer: nothing in the odd window waits for
+    // a drain, and the next sweep releases them.
     std::this_thread::yield();
   }
-  // Writers are committing faster than a pin sweep completes; hold them
-  // off for one sweep. The latch covers only the N Acquire calls (a few
-  // atomics each), never the query work, and readers reach this path
-  // only under sustained write pressure. The last sweep's pins go first:
-  // the writer holding the latch may be waiting for them to drain.
-  snaps->clear();
-  MutexLock lock(&writer_mu_);
-  pin_all();
 }
 
 Status ShardedStore::InsertPoi(const Poi& poi,

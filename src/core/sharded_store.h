@@ -318,11 +318,12 @@ class ShardedStore {
 
   /// Pins one snapshot per covered shard such that the set corresponds
   /// to a single store-wide state: retries the pin sweep until it spans
-  /// a stable even apply_seq_ (no cross-shard mutation overlapped), and
-  /// under sustained write pressure falls back to pinning under the
-  /// writer latch so readers cannot starve. `snaps` is indexed by shard;
-  /// excluded (quarantined/recovering) shards get invalid snapshots and
-  /// their indices land in `missing`.
+  /// a stable even apply_seq_ (no cross-shard mutation overlapped), as
+  /// SnapshotStore::Acquire retries for one shard. Takes no latch: the
+  /// odd window covers only PublishStaged's atomic stores, so readers
+  /// wait out microseconds, never a writer's WAL sync or drain. `snaps`
+  /// is indexed by shard; excluded (quarantined/recovering) shards get
+  /// invalid snapshots and their indices land in `missing`.
   void PinCoherentCut(std::vector<TreeSnapshot>* snaps,
                       std::vector<std::size_t>* missing) const;
 
@@ -398,7 +399,8 @@ class ShardedStore {
   // tar-lint: allow(guarded-by) atomic counter, read lock-free
   mutable std::atomic<std::size_t> unhealthy_{0};
 
-  mutable Mutex writer_mu_{LockRank::kShardedWriter, "sharded_store.writer"};
+  /// Not mutable, so no const (read) path can take the writer latch.
+  Mutex writer_mu_{LockRank::kShardedWriter, "sharded_store.writer"};
   /// Routing map for AppendEpoch (ids only; positions live in the trees).
   std::unordered_map<PoiId, std::uint32_t> poi_shard_
       TAR_GUARDED_BY(writer_mu_);

@@ -421,14 +421,9 @@ class TarTree {
   /// and a trailing whole-file checksum (see docs/internals.md, "Failure
   /// model"). The footer also records applied_lsn(), making the file a
   /// recovery checkpoint. Load restores an exact structural copy: same
-  /// nodes, same grouping, same query costs. Load also accepts legacy v1
-  /// files and v2 files written before the footer carried an LSN.
-  /// Refuses to serialize a poisoned tree.
+  /// nodes, same grouping, same query costs; it rejects any other format
+  /// version with NotSupported. Refuses to serialize a poisoned tree.
   Status Save(std::ostream& out) const;
-
-  /// Legacy format v1 writer (no checksums). Kept so backward
-  /// compatibility of the v1 loader stays testable; new code saves v2.
-  Status SaveV1(std::ostream& out) const;
 
   static Result<std::unique_ptr<TarTree>> Load(std::istream& in,
                                                const LoadOptions& options);
@@ -518,13 +513,6 @@ class TarTree {
   static Status ReadAggBound(ForestTree* member, const TimeInterval& iq,
                              AccessStats* stats, QueryTrace::Phase* phase,
                              QueryDeadline* deadline);
-
-  /// Per-version load paths behind Load's magic/version dispatch. Both
-  /// receive the stream positioned just past the 8-byte preamble.
-  static Result<std::unique_ptr<TarTree>> LoadV1(std::istream& in,
-                                                 const LoadOptions& options);
-  static Result<std::unique_ptr<TarTree>> LoadV2(std::istream& in,
-                                                 const LoadOptions& options);
 
   /// What an in-flight insertion contributes to the entries on its path.
   struct InsertionInfo {

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include "analysis/structure_verifier.h"
+#include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "core/recovery.h"
@@ -355,6 +356,31 @@ TEST(CorruptionInjectionTest, FlippedMagicByteIsCorruption) {
   EXPECT_TRUE(TarTree::Load(corrupted).status().IsCorruption());
 }
 
+/// Recomputes every section CRC, the whole-file CRC and the footer CRC of
+/// a saved image (format v2: 8-byte preamble, then frames u32 tag | u64
+/// len | payload | u32 CRC, ending in the 0xF00F footer), so an edited
+/// payload byte loads as a well-formed file.
+void Reseal(std::string* bytes) {
+  constexpr std::uint32_t kFooterTag = 0xF00F;
+  std::uint32_t file_crc = Crc32c(bytes->data(), 8);
+  std::size_t off = 8;
+  for (;;) {
+    ASSERT_LE(off + 16, bytes->size());
+    std::uint32_t tag = 0;
+    std::uint64_t len = 0;
+    std::memcpy(&tag, bytes->data() + off, sizeof(tag));
+    std::memcpy(&len, bytes->data() + off + 4, sizeof(len));
+    ASSERT_LE(off + 16 + len, bytes->size());
+    char* payload = bytes->data() + off + 12;
+    if (tag == kFooterTag) std::memcpy(payload, &file_crc, sizeof(file_crc));
+    const std::uint32_t crc = Crc32c(payload, len);
+    std::memcpy(payload + len, &crc, sizeof(crc));
+    if (tag == kFooterTag) return;
+    file_crc = Crc32cExtend(file_crc, bytes->data() + off, 16 + len);
+    off += 16 + len;
+  }
+}
+
 TEST(CorruptionInjectionTest, FlippedTiaRecordByteIsCaughtByDeepVerify) {
   // One POI gets a distinctive aggregate no other field in the file can
   // produce. Its 8-byte little-endian pattern appears in the POI registry
@@ -370,11 +396,8 @@ TEST(CorruptionInjectionTest, FlippedTiaRecordByteIsCaughtByDeepVerify) {
   hist[0] = kDistinctive;
   ASSERT_TRUE(tree->InsertPoi({900, {50, 50}}, hist).ok());
 
-  // Use the legacy unchecksummed v1 format: the deep verifier is the only
-  // line of defense there (in v2 the section CRC would catch the flip
-  // before the tree even parses; see the v2 assertion at the end).
   std::stringstream buffer;
-  ASSERT_TRUE(tree->SaveV1(buffer).ok());
+  ASSERT_TRUE(tree->Save(buffer).ok());
   std::string bytes = buffer.str();
 
   std::string pattern(sizeof(std::int64_t), '\0');
@@ -384,20 +407,24 @@ TEST(CorruptionInjectionTest, FlippedTiaRecordByteIsCaughtByDeepVerify) {
   ASSERT_NE(pos, std::string::npos);
   ASSERT_GT(pos, 0u);
 
-  std::string corrupted_bytes = bytes;
-  corrupted_bytes[pos] ^= 0x01;  // 77777 -> 77776: still positive
+  std::string flipped = bytes;
+  flipped[pos] ^= 0x01;  // 77777 -> 77776: still positive
+  // Re-sealed, the flip passes every checksum: the deep verifier is the
+  // only line of defense left.
+  std::string resealed = flipped;
+  Reseal(&resealed);
 
-  // A shallow load accepts the flipped v1 file: the tree parses and its
+  // A shallow load accepts the re-sealed file: the tree parses and its
   // R-tree-level invariants still hold.
   {
-    std::stringstream corrupted(corrupted_bytes);
+    std::stringstream corrupted(resealed);
     auto shallow = TarTree::Load(corrupted);
     ASSERT_TRUE(shallow.ok()) << shallow.status().ToString();
   }
 
   // The deep verifier wired into Load catches it as Corruption.
   {
-    std::stringstream corrupted(corrupted_bytes);
+    std::stringstream corrupted(resealed);
     TarTree::LoadOptions load_options;
     load_options.deep_verifier = analysis::DeepVerifyOnLoad();
     auto deep = TarTree::Load(corrupted, load_options);
@@ -414,16 +441,10 @@ TEST(CorruptionInjectionTest, FlippedTiaRecordByteIsCaughtByDeepVerify) {
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   }
 
-  // In format v2 the same flip never reaches the verifier: the section
+  // Without the re-seal the flip never reaches the verifier: the section
   // checksum rejects it at load, naming the damaged section.
   {
-    std::stringstream v2buf;
-    ASSERT_TRUE(tree->Save(v2buf).ok());
-    std::string v2bytes = v2buf.str();
-    std::size_t v2pos = v2bytes.rfind(pattern);
-    ASSERT_NE(v2pos, std::string::npos);
-    v2bytes[v2pos] ^= 0x01;
-    std::stringstream corrupted(v2bytes);
+    std::stringstream corrupted(flipped);
     auto res = TarTree::Load(corrupted);
     ASSERT_FALSE(res.ok());
     EXPECT_TRUE(res.status().IsCorruption()) << res.status().ToString();

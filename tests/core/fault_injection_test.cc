@@ -24,14 +24,12 @@ namespace {
 constexpr Timestamp kEpochLen = 7 * kSecondsPerDay;
 constexpr std::size_t kEpochs = 18;
 
-std::unique_ptr<TarTree> MakeTree(std::uint64_t seed, std::size_t n,
-                                  TiaBackend backend = TiaBackend::kMvbt) {
+std::unique_ptr<TarTree> MakeTree(std::uint64_t seed, std::size_t n) {
   TarTreeOptions opt;
   opt.node_size_bytes = 512;
   opt.grid = EpochGrid(0, kEpochLen);
   opt.space = Box2::Union(Box2::FromPoint({0, 0}),
                           Box2::FromPoint({100, 100}));
-  opt.tia_backend = backend;
   auto tree = std::make_unique<TarTree>(opt);
   Rng rng(seed);
   for (std::size_t i = 0; i < n; ++i) {
@@ -247,38 +245,6 @@ TEST_F(FaultInjectionTest, OpenFaultFailsBothDirections) {
   ASSERT_TRUE(injector().Configure("persist.open=err").ok());
   EXPECT_TRUE(tree->SaveToFile(path).IsIoError());
   EXPECT_TRUE(TarTree::LoadFromFile(path).status().IsIoError());
-}
-
-// ---------------------------------------------------------------------------
-// Backward compatibility (satellite: v1 files must load identically).
-
-TEST_F(FaultInjectionTest, V1FilesLoadIdenticallyUnderV2Reader) {
-  for (TiaBackend backend : {TiaBackend::kMvbt, TiaBackend::kBpTree}) {
-    auto tree = MakeTree(31, 80, backend);
-    std::stringstream v1;
-    ASSERT_TRUE(tree->SaveV1(v1).ok());
-    auto loaded_res = TarTree::Load(v1);
-    ASSERT_TRUE(loaded_res.ok()) << loaded_res.status().ToString();
-    std::unique_ptr<TarTree> loaded = std::move(loaded_res).ValueOrDie();
-
-    EXPECT_EQ(loaded->num_pois(), tree->num_pois());
-    EXPECT_EQ(loaded->num_nodes(), tree->num_nodes());
-    EXPECT_TRUE(loaded->CheckInvariants().ok());
-
-    Rng rng(37);
-    for (int trial = 0; trial < 10; ++trial) {
-      KnntaQuery q = MakeQuery(&rng);
-      std::vector<KnntaResult> a, b;
-      ASSERT_TRUE(tree->Query(q, &a).ok());
-      ASSERT_TRUE(loaded->Query(q, &b).ok());
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].poi, b[i].poi);
-        EXPECT_DOUBLE_EQ(a[i].score, b[i].score);
-        EXPECT_EQ(a[i].aggregate, b[i].aggregate);
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -151,18 +151,24 @@ TEST(PersistenceTest, RejectsGarbageAndTruncation) {
   EXPECT_TRUE(TarTree::Load(badver).status().IsNotSupported());
 }
 
-TEST(PersistenceTest, AcceptsLegacyCrcOnlyFooter) {
-  // v2 files written before the footer carried an applied WAL LSN end in
-  // a 20-byte footer frame (u32 tag | u64 len=4 | u32 file_crc | u32
-  // frame_crc) instead of today's 28-byte one (payload = file_crc + LSN).
-  // Craft one from a fresh save: same file_crc (the bytes before the
-  // footer are unchanged), frame CRC recomputed over the 4-byte payload.
+TEST(PersistenceTest, RejectsFormatV1AndCrcOnlyFooter) {
   auto tree = MakeTree(19, 60, GroupingStrategy::kIntegral3D);
   std::stringstream buffer;
   ASSERT_TRUE(tree->Save(buffer).ok());
-  std::string bytes = buffer.str();
+  const std::string bytes = buffer.str();
   ASSERT_GT(bytes.size(), 28u);
 
+  // The unchecksummed format v1 is no longer read.
+  std::string v1 = bytes;
+  const std::uint32_t version = 1;
+  std::memcpy(&v1[4], &version, sizeof(version));
+  std::stringstream v1_in(v1);
+  EXPECT_TRUE(TarTree::Load(v1_in).status().IsNotSupported());
+
+  // Nor is a v2 file that ends in the 20-byte footer frame written before
+  // the footer carried an applied WAL LSN (u32 tag | u64 len=4 | u32
+  // file_crc | u32 frame_crc) instead of today's 28-byte one. Both CRCs
+  // are valid, so only the payload length rejects it.
   const std::size_t footer = bytes.size() - 28;
   std::uint32_t tag = 0;
   std::memcpy(&tag, bytes.data() + footer, sizeof(tag));
@@ -170,22 +176,20 @@ TEST(PersistenceTest, AcceptsLegacyCrcOnlyFooter) {
   std::uint32_t file_crc = 0;
   std::memcpy(&file_crc, bytes.data() + footer + 12, sizeof(file_crc));
 
-  std::string legacy = bytes.substr(0, footer);
+  std::string crc_only = bytes.substr(0, footer);
   const std::uint64_t len = 4;
-  const std::uint32_t frame_crc =
-      Crc32c(reinterpret_cast<const char*>(&file_crc), sizeof(file_crc));
-  legacy.append(reinterpret_cast<const char*>(&tag), sizeof(tag));
-  legacy.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  legacy.append(reinterpret_cast<const char*>(&file_crc), sizeof(file_crc));
-  legacy.append(reinterpret_cast<const char*>(&frame_crc), sizeof(frame_crc));
+  const std::uint32_t frame_crc = Crc32c(&file_crc, sizeof(file_crc));
+  crc_only.append(reinterpret_cast<const char*>(&tag), sizeof(tag));
+  crc_only.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  crc_only.append(reinterpret_cast<const char*>(&file_crc), sizeof(file_crc));
+  crc_only.append(reinterpret_cast<const char*>(&frame_crc), sizeof(frame_crc));
 
-  std::stringstream in(legacy);
+  std::stringstream in(crc_only);
   auto loaded = TarTree::Load(in);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.ValueOrDie()->num_pois(), tree->num_pois());
-  // A pre-LSN file has no recorded history: recovery must replay the
-  // whole log over it.
-  EXPECT_EQ(loaded.ValueOrDie()->applied_lsn(), 0u);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  EXPECT_NE(loaded.status().ToString().find("footer"), std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(PersistenceTest, FileRoundTrip) {
