@@ -60,7 +60,7 @@ Status BuildTestBed(const QueryCheckOptions& opt, Rng& rng, TestBed* bed) {
     default: to.strategy = GroupingStrategy::kAggregate; break;
   }
   to.tia_backend =
-      (opt.seed / 3) % 2 == 0 ? TiaBackend::kMvbt : TiaBackend::kBpTree;
+      (opt.seed / 3) % 2 == 0 ? TiaBackend::kMvbt : TiaBackend::kFlat;
   to.node_size_bytes = 512;
   to.grid = EpochGrid(0, 7 * kSecondsPerDay);
   // Every fourth seed leaves the space unconfigured to exercise the

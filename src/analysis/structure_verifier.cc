@@ -72,34 +72,6 @@ Status StructureVerifier::VerifyMvbt(const mvbt::Mvbt& tree) const {
   return Status::OK();
 }
 
-Status StructureVerifier::VerifyBpTree(const bptree::BpTree& tree) const {
-  TAR_RETURN_NOT_OK(tree.CheckInvariants());
-  std::vector<std::pair<bptree::Key, bptree::Value>> all;
-  TAR_RETURN_NOT_OK(
-      tree.RangeScan(bptree::kKeyMin, bptree::kKeyMax - 1, &all));
-  if (all.size() != tree.size()) {
-    return Status::Corruption("size() = " + std::to_string(tree.size()) +
-                              " but the full scan returned " +
-                              std::to_string(all.size()) + " pairs");
-  }
-  std::int64_t sum = 0;
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (i > 0 && all[i - 1].first >= all[i].first) {
-      return Status::Corruption("range scan keys out of order at index " +
-                                std::to_string(i));
-    }
-    sum += all[i].second;
-  }
-  auto range_sum = tree.RangeSum(bptree::kKeyMin, bptree::kKeyMax - 1);
-  if (!range_sum.ok()) return range_sum.status();
-  if (range_sum.ValueOrDie() != sum) {
-    return Status::Corruption("RangeSum disagrees with the full scan (" +
-                              std::to_string(range_sum.ValueOrDie()) +
-                              " != " + std::to_string(sum) + ")");
-  }
-  return Status::OK();
-}
-
 Status StructureVerifier::VerifyEntryTia(const Tia& tia,
                                          const std::string& path,
                                          VerifyReport* report) const {

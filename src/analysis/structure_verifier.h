@@ -1,7 +1,7 @@
 // Structural verification of every index in the TAR-tree stack.
 //
-// The MVBT's weak/strong version conditions, the B+-tree's order and fill
-// invariants, the TAR-tree's MBR containment and aggregate-summary
+// The MVBT's weak/strong version conditions, the flat TIA's order and
+// prefix sums, the TAR-tree's MBR containment and aggregate-summary
 // dominance (Property 1), the TIA's record/aggregate consistency and the
 // buffer pool's per-owner quota are all checkable properties. This
 // subsystem deep-checks them on demand: after randomized mutation batches
@@ -18,7 +18,6 @@
 #include "common/status.h"
 #include "core/tar_tree.h"
 #include "storage/buffer_pool.h"
-#include "temporal/bptree.h"
 #include "temporal/mvbt.h"
 #include "temporal/tia.h"
 
@@ -35,7 +34,7 @@ struct VerifyOptions {
   std::uint64_t seed = 0x7a5c0de;
 
   /// Also run the backing index's own invariant checker (MVBT weak
-  /// version condition / B+-tree order and fill) for every TIA. This is
+  /// version condition / flat order and prefix sums) for every TIA. This is
   /// the expensive part of a TAR-tree pass; disable for quick scans.
   bool deep_tia = true;
 
@@ -53,7 +52,7 @@ struct VerifyReport {
   std::string ToString() const;
 };
 
-/// \brief Deep structural checker for all five index subsystems.
+/// \brief Deep structural checker for all four index subsystems.
 ///
 /// Stateless apart from its options; a single instance can verify any
 /// number of indexes. All methods are read-only on the verified structure
@@ -69,11 +68,6 @@ class StructureVerifier {
   /// through Mvbt::CheckInvariants), plus a live-count cross-check
   /// between CountAlive and a full range scan at the current version.
   Status VerifyMvbt(const mvbt::Mvbt& tree) const;
-
-  /// B+-tree: key order, separator consistency, min-fill, uniform leaf
-  /// depth (routes through BpTree::CheckInvariants), plus size and
-  /// RangeSum cross-checks against a full scan.
-  Status VerifyBpTree(const bptree::BpTree& tree) const;
 
   /// TIA: records sorted, disjoint, positive; num_records()/total()
   /// consistent with a raw scan; Aggregate(Iq) cross-checked against the

@@ -18,6 +18,7 @@ constexpr const char* kKnownSites[] = {
     "page_file.write",      // PageFile::GetPageForWrite
     "page_file.alloc",      // PageFile::Allocate
     "buffer_pool.fetch",    // BufferPool::Fetch / FetchForWrite
+    "tia.aggregate",        // Tia::Aggregate, on every TIA backend
     "persist.open",         // SaveToFile / LoadFromFile open
     "persist.write",        // one hit per persisted v2 section (torn/flip)
     "persist.read",         // one hit per deserialization read

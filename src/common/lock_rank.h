@@ -42,11 +42,6 @@ enum class LockRank : std::uint16_t {
   /// applies.
   kServeIngestQueue = 110,
 
-  /// ShardedServer rolling service stats (serve.stats): latency snapshot
-  /// and outcome counters. Taken briefly after a query completes, never
-  /// while any other latch is held.
-  kServeStats = 120,
-
   /// ShardedStore cross-shard writer latch (sharded_store.writer): held
   /// while a mutation or checkpoint walks the shards, so it must rank
   /// below every per-shard snapshot.writer latch it acquires.

@@ -47,6 +47,13 @@ constexpr std::uint32_t kSectionGlobalTia = 3;
 constexpr std::uint32_t kSectionNodes = 4;
 constexpr std::uint32_t kSectionFooter = 0xF00F;
 
+/// The Options section's TIA-backend byte. Byte 1 named the B+-tree
+/// backend, which is gone; flat has a byte of its own, so such a file is
+/// refused instead of being read as flat.
+constexpr std::uint8_t kBackendMvbt = 0;
+constexpr std::uint8_t kBackendRemovedBpTree = 1;
+constexpr std::uint8_t kBackendFlat = 2;
+
 /// Payloads are consumed in chunks of at most this, so a corrupt section
 /// length over-allocates by at most one chunk before the short read fails.
 constexpr std::size_t kReadChunk = 64 * 1024;
@@ -304,9 +311,11 @@ Status TarTree::Save(std::ostream& out) const {
 
   // Options.
   {
+    const std::uint8_t backend =
+        options_.tia_backend == TiaBackend::kFlat ? kBackendFlat : kBackendMvbt;
     ByteWriter w;
     w.Pod<std::uint8_t>(static_cast<std::uint8_t>(options_.strategy));
-    w.Pod<std::uint8_t>(static_cast<std::uint8_t>(options_.tia_backend));
+    w.Pod(backend);
     w.Pod<std::uint64_t>(options_.node_size_bytes);
     w.Pod<std::uint64_t>(options_.tia_buffer_slots);
     w.Pod<std::uint64_t>(options_.tia_page_size);
@@ -525,12 +534,18 @@ Result<std::unique_ptr<TarTree>> TarTree::Load(std::istream& in,
     TAR_RETURN_NOT_OK(s.Pod(&sx1, "space bounds"));
     TAR_RETURN_NOT_OK(s.Pod(&sy1, "space bounds"));
     TAR_RETURN_NOT_OK(s.ExpectEnd());
-    if (strategy > 2 || backend > 1 || node_size < 64 || page_size < 320 ||
-        epoch_len <= 0) {
+    if (backend == kBackendRemovedBpTree) {
+      return Status::NotSupported(
+          "index uses the B+-tree TIA backend, which has been removed; "
+          "rebuild it with --backend mvbt or flat");
+    }
+    if (strategy > 2 || (backend != kBackendMvbt && backend != kBackendFlat) ||
+        node_size < 64 || page_size < 320 || epoch_len <= 0) {
       return Status::Corruption("section Options: implausible header fields");
     }
     options.strategy = static_cast<GroupingStrategy>(strategy);
-    options.tia_backend = static_cast<TiaBackend>(backend);
+    options.tia_backend =
+        backend == kBackendFlat ? TiaBackend::kFlat : TiaBackend::kMvbt;
     options.node_size_bytes = node_size;
     options.tia_buffer_slots = buffer_slots;
     options.tia_page_size = page_size;

@@ -28,6 +28,14 @@ void SleepMs(double ms) {
 /// the fault is treated as permanent and ingestion parks.
 constexpr int kMaxBatchRequeues = 256;
 
+void Bump(std::atomic<std::uint64_t>* counter) {
+  counter->fetch_add(1, std::memory_order_relaxed);
+}
+
+std::uint64_t Read(const std::atomic<std::uint64_t>& counter) {
+  return counter.load(std::memory_order_relaxed);
+}
+
 }  // namespace
 
 ShardedServer::ShardedServer(ShardedStore* store, const ServeOptions& options)
@@ -76,12 +84,8 @@ Status ShardedServer::Query(const KnntaQuery& query,
   if (options_.max_inflight > 0 &&
       inflight > static_cast<std::int64_t>(options_.max_inflight)) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    double observed_ms = 0.0;
-    {
-      MutexLock lock(&stats_mu_);
-      ++stats_.queries_shed;
-      observed_ms = stats_.latency.Mean() / 1000.0;
-    }
+    Bump(&queries_shed_);
+    const double observed_ms = latency_.Snapshot().Mean() / 1000.0;
     const double retry_ms = EstimateRetryAfterMs(
         /*backlog=*/options_.max_inflight, /*num_threads=*/
         options_.max_inflight, observed_ms, options_.budget.deadline_ms);
@@ -106,16 +110,15 @@ Status ShardedServer::Query(const KnntaQuery& query,
   const double micros = MillisSince(start) * 1000.0;
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
 
-  MutexLock lock(&stats_mu_);
   if (st.ok()) {
-    ++stats_.queries_ok;
-    stats_.latency.Record(micros);
-    if (overlapped) ++stats_.reads_during_write;
-    if (shard_down) ++stats_.reads_during_quarantine;
-    if (cptr != nullptr && !coverage.complete) ++stats_.reads_partial;
+    Bump(&queries_ok_);
+    latency_.Record(micros);
+    if (overlapped) Bump(&reads_during_write_);
+    if (shard_down) Bump(&reads_during_quarantine_);
+    if (cptr != nullptr && !coverage.complete) Bump(&reads_partial_);
   } else {
-    ++stats_.queries_failed;
-    if (st.IsUnavailable()) ++stats_.reads_unavailable;
+    Bump(&queries_failed_);
+    if (st.IsUnavailable()) Bump(&reads_unavailable_);
   }
   return st;
 }
@@ -180,16 +183,12 @@ void ShardedServer::IngestLoop() {
         st = store_->Checkpoint();
         if (st.ok()) {
           since_checkpoint = 0;
-          MutexLock lock(&stats_mu_);
-          ++stats_.checkpoints;
+          Bump(&checkpoints_);
         }
       }
     }
     write_in_flight_.store(false, std::memory_order_release);
-    if (st.ok()) {
-      MutexLock lock(&stats_mu_);
-      ++stats_.epochs_ingested;
-    }
+    if (st.ok()) Bump(&epochs_ingested_);
     // kUnavailable means the batch was refused without mutating anything
     // (a quarantined shard's redo buffer is full): requeue it at the
     // front and let the repair worker drain the backlog, instead of
@@ -224,11 +223,16 @@ void ShardedServer::RepairLoop() {
 
 ServerStats ShardedServer::stats() const {
   ServerStats out;
-  {
-    MutexLock lock(&stats_mu_);
-    out = stats_;
-  }
-  // Merged outside stats_mu_: fault_stats takes the store's health latch.
+  out.queries_ok = Read(queries_ok_);
+  out.queries_shed = Read(queries_shed_);
+  out.queries_failed = Read(queries_failed_);
+  out.reads_during_write = Read(reads_during_write_);
+  out.epochs_ingested = Read(epochs_ingested_);
+  out.checkpoints = Read(checkpoints_);
+  out.reads_partial = Read(reads_partial_);
+  out.reads_unavailable = Read(reads_unavailable_);
+  out.reads_during_quarantine = Read(reads_during_quarantine_);
+  out.latency = latency_.Snapshot();
   out.fault = store_->fault_stats();
   return out;
 }

@@ -64,7 +64,10 @@ struct ServeOptions {
   double repair_poll_ms = 10.0;
 };
 
-/// \brief A point-in-time copy of the server's service counters.
+/// \brief A copy of the server's service counters.
+///
+/// Each counter is read once, without a latch, so while queries run two
+/// counters may be a few events apart; once the server is idle they agree.
 struct ServerStats {
   std::uint64_t queries_ok = 0;
   std::uint64_t queries_shed = 0;
@@ -171,8 +174,20 @@ class ShardedServer {
   /// time, not racing submitters.
   bool stopping_ TAR_GUARDED_BY(queue_mu_) = false;
 
-  mutable Mutex stats_mu_{LockRank::kServeStats, "serve.stats"};
-  ServerStats stats_ TAR_GUARDED_BY(stats_mu_);
+  // Service counters, bumped with relaxed atomic adds so a read takes no
+  // latch; stats() assembles the snapshot.
+  std::atomic<std::uint64_t> queries_ok_{0};
+  std::atomic<std::uint64_t> queries_shed_{0};
+  std::atomic<std::uint64_t> queries_failed_{0};
+  std::atomic<std::uint64_t> reads_during_write_{0};
+  std::atomic<std::uint64_t> epochs_ingested_{0};
+  std::atomic<std::uint64_t> checkpoints_{0};
+  std::atomic<std::uint64_t> reads_partial_{0};
+  std::atomic<std::uint64_t> reads_unavailable_{0};
+  std::atomic<std::uint64_t> reads_during_quarantine_{0};
+  /// Completed queries, micros.
+  // tar-lint: allow(guarded-by) LatencyHistogram records with atomics
+  LatencyHistogram latency_;
 };
 
 /// \brief Load-shape knobs for RunMixedLoad.

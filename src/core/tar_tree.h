@@ -61,7 +61,7 @@ struct TarTreeOptions {
   std::size_t tia_page_size = 1024;
 
   /// Index structure backing the TIAs (the paper uses the multiversion
-  /// B-tree; the plain B+-tree is the aRB-tree-style alternative).
+  /// B-tree; flat prefix sums are the in-memory alternative).
   TiaBackend tia_backend = TiaBackend::kMvbt;
 
   /// Epoch discretization of the time axis.

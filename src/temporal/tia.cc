@@ -1,6 +1,9 @@
 #include "temporal/tia.h"
 
 #include <algorithm>
+#include <iterator>
+
+#include "common/failpoint.h"
 
 namespace tar {
 
@@ -8,8 +11,8 @@ const char* ToString(TiaBackend backend) {
   switch (backend) {
     case TiaBackend::kMvbt:
       return "MVBT";
-    case TiaBackend::kBpTree:
-      return "B+tree";
+    case TiaBackend::kFlat:
+      return "flat";
   }
   return "?";
 }
@@ -19,7 +22,7 @@ Tia::Tia(PageFile* file, BufferPool* pool, OwnerId owner, TiaBackend backend)
   if (backend_ == TiaBackend::kMvbt) {
     mvbt_ = std::make_unique<mvbt::Mvbt>(file, pool, owner);
   } else {
-    bptree_ = std::make_unique<bptree::BpTree>(file, pool, owner);
+    flat_ = std::make_unique<Flat>();
   }
 }
 
@@ -35,43 +38,101 @@ TiaRecord Tia::Unpack(std::int64_t ts, std::int64_t value) {
   return TiaRecord{{ts, ts + duration - 1}, agg};
 }
 
-Status Tia::InsertRecord(std::int64_t key, std::int64_t value) {
-  if (backend_ == TiaBackend::kMvbt) {
-    return mvbt_->Insert(++op_counter_, key, value);
+// ---------------------------------------------------------------------------
+// Flat backend.
+
+std::size_t Tia::Flat::LowerBound(Timestamp start) const {
+  auto it = std::lower_bound(
+      records.begin(), records.end(), start,
+      [](const TiaRecord& r, Timestamp t) { return r.extent.start < t; });
+  return static_cast<std::size_t>(it - records.begin());
+}
+
+Status Tia::Flat::Insert(const TimeInterval& extent,
+                         std::int64_t aggregate) {
+  // The MVBT's sentinel key, refused here too so that both backends
+  // accept exactly the same epochs.
+  if (extent.start == mvbt::kKeyMax) {
+    return Status::InvalidArgument("INT64_MAX is reserved as a sentinel");
   }
-  auto existing = bptree_->Get(key);
-  if (!existing.ok()) return existing.status();
-  const std::optional<std::int64_t> stored = existing.ValueOrDie();
-  if (stored.has_value()) {
+  const std::size_t at = LowerBound(extent.start);
+  if (at < records.size() && records[at].extent.start == extent.start) {
     return Status::AlreadyExists("record for this epoch already stored");
   }
-  return bptree_->Put(key, value);
+  if ((at > 0 && records[at - 1].extent.end >= extent.start) ||
+      (at < records.size() && records[at].extent.start <= extent.end)) {
+    return Status::InvalidArgument("epoch extent overlaps a stored record");
+  }
+  records.insert(records.begin() + static_cast<std::ptrdiff_t>(at),
+                 TiaRecord{extent, aggregate});
+  prefix.push_back(0);
+  RebuildPrefix(at);
+  return Status::OK();
 }
 
-Result<std::optional<std::int64_t>> Tia::LookupRecord(std::int64_t key)
-    const {
-  if (backend_ == TiaBackend::kMvbt) {
-    return mvbt_->Lookup(mvbt_->last_version(), key);
+void Tia::Flat::RebuildPrefix(std::size_t from) {
+  for (std::size_t i = from; i < records.size(); ++i) {
+    prefix[i + 1] = prefix[i] + records[i].aggregate;
   }
-  return bptree_->Get(key);
 }
 
-Status Tia::OverwriteRecord(std::int64_t key, std::int64_t value) {
-  if (backend_ == TiaBackend::kMvbt) {
-    TAR_RETURN_NOT_OK(mvbt_->Erase(++op_counter_, key));
-    return mvbt_->Insert(++op_counter_, key, value);
-  }
-  return bptree_->Put(key, value);
+std::int64_t Tia::Flat::Sum(const TimeInterval& iq) const {
+  // The records inside iq form one run: those that start in iq, minus the
+  // last one if it ends after iq.end (the extents are disjoint, so no
+  // earlier one can).
+  const auto first =
+      records.begin() + static_cast<std::ptrdiff_t>(LowerBound(iq.start));
+  auto last = std::upper_bound(
+      first, records.end(), iq.end,
+      [](Timestamp t, const TiaRecord& r) { return t < r.extent.start; });
+  if (last != first && std::prev(last)->extent.end > iq.end) --last;
+  return prefix[static_cast<std::size_t>(last - records.begin())] -
+         prefix[static_cast<std::size_t>(first - records.begin())];
 }
 
-Status Tia::ScanRecords(
-    std::int64_t lo, std::int64_t hi,
-    std::vector<std::pair<std::int64_t, std::int64_t>>* out,
-    AccessStats* stats) const {
-  if (backend_ == TiaBackend::kMvbt) {
-    return mvbt_->RangeScanCurrent(lo, hi, out, stats);
+Status Tia::Flat::Check() const {
+  if (prefix.size() != records.size() + 1 || prefix[0] != 0) {
+    return Status::Corruption("flat TIA prefix array is malformed");
   }
-  return bptree_->RangeScan(lo, hi, out, stats);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const TiaRecord& r = records[i];
+    if (i > 0 && records[i - 1].extent.start >= r.extent.start) {
+      return Status::Corruption("flat TIA starts not strictly increasing at " +
+                                std::to_string(i));
+    }
+    if (i > 0 && records[i - 1].extent.end >= r.extent.start) {
+      return Status::Corruption("flat TIA extents overlap at " +
+                                std::to_string(i));
+    }
+    if (r.aggregate <= 0) {
+      return Status::Corruption("flat TIA stores a non-positive aggregate at " +
+                                std::to_string(i));
+    }
+    if (prefix[i + 1] - prefix[i] != r.aggregate) {
+      return Status::Corruption("flat TIA prefix sum disagrees with record " +
+                                std::to_string(i));
+    }
+  }
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// Both backends.
+
+Result<std::optional<TiaRecord>> Tia::Find(Timestamp start) const {
+  if (flat_ != nullptr) {
+    const std::size_t at = flat_->LowerBound(start);
+    if (at < flat_->records.size() &&
+        flat_->records[at].extent.start == start) {
+      return std::optional<TiaRecord>(flat_->records[at]);
+    }
+    return std::optional<TiaRecord>();
+  }
+  auto existing = mvbt_->Lookup(mvbt_->last_version(), start);
+  if (!existing.ok()) return existing.status();
+  const std::optional<std::int64_t> stored = existing.ValueOrDie();
+  if (!stored.has_value()) return std::optional<TiaRecord>();
+  return std::optional<TiaRecord>(Unpack(start, *stored));
 }
 
 Status Tia::CheckPackable(const TimeInterval& extent,
@@ -91,7 +152,12 @@ Status Tia::Append(const TimeInterval& extent, std::int64_t aggregate) {
     return Status::InvalidArgument("TIA stores only non-zero aggregates");
   }
   TAR_RETURN_NOT_OK(CheckPackable(extent, aggregate));
-  TAR_RETURN_NOT_OK(InsertRecord(extent.start, Pack(extent, aggregate)));
+  if (flat_ != nullptr) {
+    TAR_RETURN_NOT_OK(flat_->Insert(extent, aggregate));
+  } else {
+    TAR_RETURN_NOT_OK(
+        mvbt_->Insert(++op_counter_, extent.start, Pack(extent, aggregate)));
+  }
   total_ += aggregate;
   ++num_records_;
   return Status::OK();
@@ -102,27 +168,38 @@ Status Tia::RaiseTo(const TimeInterval& extent, std::int64_t aggregate) {
   // over-long extent would silently corrupt the duration bits in Pack.
   TAR_RETURN_NOT_OK(CheckPackable(extent, aggregate));
   if (aggregate <= 0) return Status::OK();  // nothing to raise
-  auto existing = LookupRecord(extent.start);
-  if (!existing.ok()) return existing.status();
-  const std::optional<std::int64_t> stored = existing.ValueOrDie();
-  if (stored.has_value()) {
-    TiaRecord old = Unpack(extent.start, *stored);
-    if (old.aggregate >= aggregate) return Status::OK();
-    TAR_RETURN_NOT_OK(
-        OverwriteRecord(extent.start, Pack(extent, aggregate)));
-    total_ += aggregate - old.aggregate;
-    return Status::OK();
+  auto found = Find(extent.start);
+  if (!found.ok()) return found.status();
+  const std::optional<TiaRecord> old = found.ValueOrDie();
+  if (!old.has_value()) return Append(extent, aggregate);
+  if (old->extent != extent) {
+    return Status::InvalidArgument(
+        "epoch extent overlaps the stored record starting at " +
+        std::to_string(extent.start));
   }
-  TAR_RETURN_NOT_OK(InsertRecord(extent.start, Pack(extent, aggregate)));
-  total_ += aggregate;
-  ++num_records_;
+  if (old->aggregate >= aggregate) return Status::OK();
+  if (flat_ != nullptr) {
+    const std::size_t at = flat_->LowerBound(extent.start);
+    flat_->records[at].aggregate = aggregate;
+    flat_->RebuildPrefix(at);
+  } else {
+    TAR_RETURN_NOT_OK(mvbt_->Erase(++op_counter_, extent.start));
+    TAR_RETURN_NOT_OK(
+        mvbt_->Insert(++op_counter_, extent.start, Pack(extent, aggregate)));
+  }
+  total_ += aggregate - old->aggregate;
   return Status::OK();
 }
 
 Result<std::int64_t> Tia::Aggregate(const TimeInterval& iq,
                                     AccessStats* stats,
                                     QueryDeadline* deadline) const {
+  TAR_INJECT_FAULT("tia.aggregate");
   TAR_CHECK_CANCEL(deadline);
+  if (flat_ != nullptr) {
+    if (stats != nullptr) ++stats->aggregate_calls;
+    return flat_->Sum(iq);
+  }
   // The TIA-page budget is charged from the stats delta across the scan;
   // when the caller passed no stats, a scratch block keeps the accounting
   // without changing what the caller observes.
@@ -136,7 +213,7 @@ Result<std::int64_t> Tia::Aggregate(const TimeInterval& iq,
   const std::uint64_t pages_before =
       counted != nullptr ? counted->tia_page_reads : 0;
   std::vector<std::pair<std::int64_t, std::int64_t>> hits;
-  TAR_RETURN_NOT_OK(ScanRecords(iq.start, iq.end, &hits, counted));
+  TAR_RETURN_NOT_OK(mvbt_->RangeScanCurrent(iq.start, iq.end, &hits, counted));
   if (deadline != nullptr && counted != nullptr) {
     deadline->ChargeTiaPages(counted->tia_page_reads - pages_before);
   }
@@ -150,31 +227,39 @@ Result<std::int64_t> Tia::Aggregate(const TimeInterval& iq,
 }
 
 Status Tia::CheckBackend() const {
-  if (backend_ == TiaBackend::kMvbt) {
-    TAR_RETURN_NOT_OK(mvbt_->CheckInvariants());
-    auto live = mvbt_->CountAlive(mvbt_->last_version());
-    if (!live.ok()) return live.status();
-    if (live.ValueOrDie() != num_records_) {
+  if (flat_ != nullptr) {
+    TAR_RETURN_NOT_OK(flat_->Check());
+    if (flat_->prefix.back() != total_) {
+      return Status::Corruption("flat TIA prefix total disagrees with total()");
+    }
+    if (flat_->records.size() != num_records_) {
       return Status::Corruption(
-          "MVBT live record count disagrees with TIA num_records");
+          "flat TIA record count disagrees with TIA num_records");
     }
     return Status::OK();
   }
-  TAR_RETURN_NOT_OK(bptree_->CheckInvariants());
-  if (bptree_->size() != num_records_) {
+  TAR_RETURN_NOT_OK(mvbt_->CheckInvariants());
+  auto live = mvbt_->CountAlive(mvbt_->last_version());
+  if (!live.ok()) return live.status();
+  if (live.ValueOrDie() != num_records_) {
     return Status::Corruption(
-        "B+-tree size disagrees with TIA num_records");
+        "MVBT live record count disagrees with TIA num_records");
   }
   return Status::OK();
 }
 
 Status Tia::Records(std::vector<TiaRecord>* out, AccessStats* stats) const {
+  if (flat_ != nullptr) {
+    *out = flat_->records;
+    return Status::OK();
+  }
   out->clear();
   std::vector<std::pair<std::int64_t, std::int64_t>> hits;
-  // Inclusive full-key-range scan: both backends treat [lo, hi] as closed,
-  // so hi must be INT64_MAX (the old INT64_MAX - 1 bound dropped a record
+  // Inclusive full-key-range scan: the MVBT treats [lo, hi] as closed, so
+  // hi must be INT64_MAX (the old INT64_MAX - 1 bound dropped a record
   // keyed at the maximum representable timestamp).
-  TAR_RETURN_NOT_OK(ScanRecords(INT64_MIN, INT64_MAX, &hits, stats));
+  TAR_RETURN_NOT_OK(
+      mvbt_->RangeScanCurrent(INT64_MIN, INT64_MAX, &hits, stats));
   out->reserve(hits.size());
   for (const auto& [ts, value] : hits) out->push_back(Unpack(ts, value));
   return Status::OK();

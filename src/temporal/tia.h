@@ -6,12 +6,16 @@
 // aggregate among the TIAs in its child node. Records support epochs of
 // varied lengths.
 //
-// Two backends are provided, both disk-paged through the buffer pool so
-// every query is charged page accesses exactly like a disk-resident index:
+// Two backends are provided:
 //   * kMvbt — the multiversion B-tree the paper uses (asymptotically
-//     optimal for versioned access; keeps the full update history);
-//   * kBpTree — a plain B+-tree, the backend of the aRB-tree family the
-//     paper compares against in its related work.
+//     optimal for versioned access; keeps the full update history). It is
+//     disk-paged through the buffer pool, so every query is charged page
+//     accesses exactly like a disk-resident index.
+//   * kFlat — the records in memory, sorted by start, with a prefix-sum
+//     array (the cumulative-aggregate layout of "Ranking Large Temporal
+//     Data"), so Aggregate is two binary searches. A flat TIA reads no
+//     page and charges none, so QueryBudget::max_tia_page_reads never
+//     trips on it.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +28,6 @@
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/time_types.h"
-#include "temporal/bptree.h"
 #include "temporal/mvbt.h"
 
 namespace tar {
@@ -40,7 +43,7 @@ struct TiaRecord {
 /// Which index structure stores the temporal records.
 enum class TiaBackend {
   kMvbt,
-  kBpTree,
+  kFlat,
 };
 
 const char* ToString(TiaBackend backend);
@@ -48,12 +51,13 @@ const char* ToString(TiaBackend backend);
 /// \brief Temporal index on the aggregate of one TAR-tree entry.
 ///
 /// Thread safety: const reads (Aggregate, Records) are safe concurrently
-/// — they only mutate the latched buffer pool; Append/RaiseTo require
-/// external exclusion.
+/// — they only mutate the latched buffer pool (MVBT) or nothing (flat);
+/// Append/RaiseTo require external exclusion.
 class Tia {
  public:
   /// \param owner buffer-pool owner id; the paper gives each TIA its own
-  ///        small buffer quota (10 slots by default).
+  ///        small buffer quota (10 slots by default). A flat TIA keeps the
+  ///        id as its name but never touches `file` or `pool`.
   Tia(PageFile* file, BufferPool* pool, OwnerId owner,
       TiaBackend backend = TiaBackend::kMvbt);
 
@@ -61,12 +65,16 @@ class Tia {
   Tia& operator=(Tia&&) = default;
 
   /// Appends the record for a finished epoch. `aggregate` must be positive
-  /// (zero aggregates are simply not stored).
+  /// (zero aggregates are simply not stored). A second record for the same
+  /// epoch start is AlreadyExists; on the flat backend an extent that
+  /// overlaps a stored one is InvalidArgument. Either way nothing is stored.
   Status Append(const TimeInterval& extent, std::int64_t aggregate);
 
   /// Raises the stored aggregate of the epoch starting at extent.start to
-  /// at least `aggregate` (no-op if the stored value is already >=). Used
-  /// when a POI insertion updates the TIAs along its path.
+  /// at least `aggregate` (no-op if the stored value is already >=), or
+  /// stores the epoch if it is absent. Used when a POI insertion updates
+  /// the TIAs along its path. An extent that differs from the stored one
+  /// for the same start is InvalidArgument.
   Status RaiseTo(const TimeInterval& extent, std::int64_t aggregate);
 
   /// Sum of `agg` over all records whose extent is contained in iq.
@@ -74,9 +82,10 @@ class Tia {
   /// turns the paper's "epoch intersects Iq" into containment.
   ///
   /// `deadline` (optional) is polled cooperatively: before the backend
-  /// scan and amortized across the record loop, and the scan's page reads
-  /// are charged against its TIA-page budget. A trip surfaces as
-  /// kDeadlineExceeded/kCancelled.
+  /// lookup and, on the MVBT, amortized across the record loop, and the
+  /// scan's page reads are charged against its TIA-page budget. A trip
+  /// surfaces as kDeadlineExceeded/kCancelled. Every call first hits the
+  /// `tia.aggregate` failpoint site, on both backends.
   Result<std::int64_t> Aggregate(const TimeInterval& iq,
                                  AccessStats* stats = nullptr,
                                  QueryDeadline* deadline = nullptr) const;
@@ -94,9 +103,10 @@ class Tia {
   OwnerId owner() const { return owner_; }
   TiaBackend backend() const { return backend_; }
 
-  /// Structural invariants of the backing index (MVBT version conditions
-  /// or B+-tree order/fill), plus consistency between the backend's live
-  /// record count and num_records(). Used by analysis::StructureVerifier.
+  /// Structural invariants of the backing index (MVBT version conditions;
+  /// flat order, disjointness and prefix sums), plus consistency between
+  /// the backend's record count and num_records(). Used by
+  /// analysis::StructureVerifier.
   Status CheckBackend() const;
 
   /// Shared Append/RaiseTo validation: the extent must be a valid interval
@@ -108,15 +118,31 @@ class Tia {
                               std::int64_t aggregate);
 
  private:
+  friend class TiaTestPeer;
+
+  /// kFlat storage: the records in start order, pairwise disjoint, and
+  /// prefix[i] = the sum of the aggregates of records[0, i), so
+  /// prefix.size() == records.size() + 1.
+  struct Flat {
+    std::vector<TiaRecord> records;
+    std::vector<std::int64_t> prefix{0};
+
+    /// Index of the first record that starts at or after `start`.
+    std::size_t LowerBound(Timestamp start) const;
+    /// Stores a new epoch in start order; AlreadyExists on a stored start,
+    /// InvalidArgument on an extent that overlaps a neighbour.
+    Status Insert(const TimeInterval& extent, std::int64_t aggregate);
+    /// Recomputes prefix[from + 1 ..] after records[from ..] changed.
+    void RebuildPrefix(std::size_t from);
+    std::int64_t Sum(const TimeInterval& iq) const;
+    Status Check() const;
+  };
+
   static std::int64_t Pack(const TimeInterval& extent, std::int64_t agg);
   static TiaRecord Unpack(std::int64_t ts, std::int64_t value);
 
-  Status InsertRecord(std::int64_t key, std::int64_t value);
-  Result<std::optional<std::int64_t>> LookupRecord(std::int64_t key) const;
-  Status OverwriteRecord(std::int64_t key, std::int64_t value);
-  Status ScanRecords(std::int64_t lo, std::int64_t hi,
-                     std::vector<std::pair<std::int64_t, std::int64_t>>* out,
-                     AccessStats* stats) const;
+  /// The stored record of the epoch starting at `start`, if any.
+  Result<std::optional<TiaRecord>> Find(Timestamp start) const;
 
   OwnerId owner_;
   TiaBackend backend_;
@@ -124,7 +150,7 @@ class Tia {
   // optional: only the active backend occupies memory, and no
   // optional-access pattern for static analysis to second-guess).
   std::unique_ptr<mvbt::Mvbt> mvbt_;
-  std::unique_ptr<bptree::BpTree> bptree_;
+  std::unique_ptr<Flat> flat_;
   mvbt::Version op_counter_ = 0;
   std::int64_t total_ = 0;
   std::size_t num_records_ = 0;

@@ -112,9 +112,9 @@ INSTANTIATE_TEST_SUITE_P(
         Config{GroupingStrategy::kIntegral3D, TiaBackend::kMvbt},
         Config{GroupingStrategy::kSpatial, TiaBackend::kMvbt},
         Config{GroupingStrategy::kAggregate, TiaBackend::kMvbt},
-        Config{GroupingStrategy::kIntegral3D, TiaBackend::kBpTree},
-        Config{GroupingStrategy::kSpatial, TiaBackend::kBpTree},
-        Config{GroupingStrategy::kAggregate, TiaBackend::kBpTree}));
+        Config{GroupingStrategy::kIntegral3D, TiaBackend::kFlat},
+        Config{GroupingStrategy::kSpatial, TiaBackend::kFlat},
+        Config{GroupingStrategy::kAggregate, TiaBackend::kFlat}));
 
 TEST(PruneAuditAbortTest, AbortedQueriesLeaveAVerifiableCorpus) {
   // Queries cut by a work budget — failing hard and degrading to a

@@ -1,4 +1,4 @@
-// Tests for analysis::StructureVerifier: fresh-index passes over all five
+// Tests for analysis::StructureVerifier: fresh-index passes over all four
 // subsystems, randomized mutation fuzzing with periodic deep verification,
 // and corruption injection against the persistence format.
 #include <algorithm>
@@ -26,7 +26,6 @@
 #include "storage/wal.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
-#include "temporal/bptree.h"
 #include "temporal/mvbt.h"
 #include "temporal/tia.h"
 
@@ -88,21 +87,6 @@ TEST(StructureVerifierTest, FreshMvbtPasses) {
   EXPECT_TRUE(verifier.VerifyMvbt(tree).ok());
 }
 
-TEST(StructureVerifierTest, FreshBpTreePasses) {
-  PageFile file(512);
-  BufferPool pool(&file, 10);
-  bptree::BpTree tree(&file, &pool, /*owner=*/1);
-  Rng rng(5);
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(tree.Put(rng.UniformInt(0, 2000), i).ok());
-  }
-  for (int i = 0; i < 200; ++i) {
-    (void)tree.Erase(rng.UniformInt(0, 2000)).ok();  // NotFound is fine
-  }
-  analysis::StructureVerifier verifier;
-  EXPECT_TRUE(verifier.VerifyBpTree(tree).ok());
-}
-
 class TiaVerifyTest : public ::testing::TestWithParam<TiaBackend> {};
 
 TEST_P(TiaVerifyTest, FreshTiaPasses) {
@@ -127,7 +111,7 @@ TEST_P(TiaVerifyTest, FreshTiaPasses) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, TiaVerifyTest,
                          ::testing::Values(TiaBackend::kMvbt,
-                                           TiaBackend::kBpTree),
+                                           TiaBackend::kFlat),
                          [](const ::testing::TestParamInfo<TiaBackend>& info) {
                            std::string name = ToString(info.param);
                            for (char& c : name) {
@@ -214,9 +198,9 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(StructureVerifierTest, TarTreeOnBpTreeBackendPasses) {
+TEST(StructureVerifierTest, TarTreeOnFlatBackendPasses) {
   auto tree = MakeTree(17, 150, GroupingStrategy::kIntegral3D,
-                       TiaBackend::kBpTree);
+                       TiaBackend::kFlat);
   analysis::StructureVerifier verifier;
   Status st = verifier.VerifyTarTree(*tree);
   EXPECT_TRUE(st.ok()) << st.ToString();
@@ -242,7 +226,7 @@ TEST(StructureVerifierTest, PassesAfterDeletesAndAppends) {
 // ---------------------------------------------------------------------------
 // Randomized fuzzing: interleaved mutations, deep verification every N ops.
 
-TEST(StructureVerifierFuzzTest, InterleavedMvbtAndBpTreeMutations) {
+TEST(StructureVerifierFuzzTest, InterleavedMvbtAndFlatMutations) {
   constexpr int kOps = 1200;
   constexpr int kVerifyEvery = 100;
 
@@ -250,14 +234,18 @@ TEST(StructureVerifierFuzzTest, InterleavedMvbtAndBpTreeMutations) {
   BufferPool mvbt_pool(&mvbt_file, 10);
   mvbt::Mvbt mv(&mvbt_file, &mvbt_pool, /*owner=*/1);
 
-  PageFile bp_file(512);
-  BufferPool bp_pool(&bp_file, 10);
-  bptree::BpTree bp(&bp_file, &bp_pool, /*owner=*/1);
+  // A flat TIA never touches its file or pool; they only satisfy the
+  // constructor.
+  PageFile flat_file(512);
+  BufferPool flat_pool(&flat_file, 10);
+  Tia flat(&flat_file, &flat_pool, /*owner=*/1, TiaBackend::kFlat);
 
   std::map<std::int64_t, std::int64_t> mv_oracle;  // live keys at current v
-  std::map<std::int64_t, std::int64_t> bp_oracle;
+  std::map<std::int64_t, std::int64_t> flat_oracle;  // epoch -> aggregate
 
-  analysis::StructureVerifier verifier;
+  analysis::VerifyOptions opt;
+  opt.tia_sample_intervals = 16;
+  analysis::StructureVerifier verifier(opt);
   Rng rng(0xf022);
   std::int64_t version = 0;
   for (int op = 1; op <= kOps; ++op) {
@@ -272,21 +260,19 @@ TEST(StructureVerifierFuzzTest, InterleavedMvbtAndBpTreeMutations) {
       mv_oracle.erase(key);
     }
 
-    // One B+-tree mutation: put (insert-or-overwrite) or erase.
-    std::int64_t bkey = rng.UniformInt(0, 300);
-    if (rng.UniformInt(0, 2) != 0 || bp_oracle.count(bkey) == 0) {
-      ASSERT_TRUE(bp.Put(bkey, op).ok()) << "op " << op;
-      bp_oracle[bkey] = op;
-    } else {
-      ASSERT_TRUE(bp.Erase(bkey).ok()) << "op " << op;
-      bp_oracle.erase(bkey);
-    }
+    // One flat-TIA mutation: raise a random epoch, before, between or
+    // after the stored ones, to a random level (a no-op unless higher).
+    const std::int64_t epoch = rng.UniformInt(0, 300);
+    const std::int64_t agg = rng.UniformInt(1, 1000);
+    const TimeInterval extent{epoch * kEpochLen, (epoch + 1) * kEpochLen - 1};
+    ASSERT_TRUE(flat.RaiseTo(extent, agg).ok()) << "op " << op;
+    flat_oracle[epoch] = std::max(flat_oracle[epoch], agg);
 
     if (op % kVerifyEvery != 0 && op != kOps) continue;
 
     Status st = verifier.VerifyMvbt(mv);
     ASSERT_TRUE(st.ok()) << "op " << op << ": " << st.ToString();
-    st = verifier.VerifyBpTree(bp);
+    st = verifier.VerifyTia(flat);
     ASSERT_TRUE(st.ok()) << "op " << op << ": " << st.ToString();
 
     // Contents must match the oracles exactly.
@@ -300,14 +286,14 @@ TEST(StructureVerifierFuzzTest, InterleavedMvbtAndBpTreeMutations) {
       ++it;
     }
 
-    got.clear();
-    ASSERT_TRUE(bp.RangeScan(bptree::kKeyMin, bptree::kKeyMax, &got).ok());
-    ASSERT_EQ(got.size(), bp_oracle.size()) << "op " << op;
-    auto bit = bp_oracle.begin();
-    for (const auto& [k, v] : got) {
-      EXPECT_EQ(k, bit->first);
-      EXPECT_EQ(v, bit->second);
-      ++bit;
+    std::vector<TiaRecord> records;
+    ASSERT_TRUE(flat.Records(&records).ok());
+    ASSERT_EQ(records.size(), flat_oracle.size()) << "op " << op;
+    auto fit = flat_oracle.begin();
+    for (const TiaRecord& r : records) {
+      EXPECT_EQ(r.extent.start, fit->first * kEpochLen);
+      EXPECT_EQ(r.aggregate, fit->second);
+      ++fit;
     }
   }
 }
@@ -455,7 +441,7 @@ TEST(CorruptionInjectionTest, FlippedTiaRecordByteIsCaughtByDeepVerify) {
 
 TEST(CorruptionInjectionTest, DeepVerifyOnLoadPassesCleanFile) {
   auto tree = MakeTree(43, 100, GroupingStrategy::kSpatial,
-                       TiaBackend::kBpTree);
+                       TiaBackend::kFlat);
   std::string path = ::testing::TempDir() + "/verifier_clean.bin";
   ASSERT_TRUE(tree->SaveToFile(path).ok());
   TarTree::LoadOptions load_options;

@@ -346,8 +346,8 @@ TEST_F(FaultInjectionTest, LifecycleExercisesEveryCatalogedSite) {
   std::remove(snap.c_str());
   std::remove(walp.c_str());
 
-  // Build and query: page_file.alloc/write on inserts, page_file.read and
-  // buffer_pool.fetch on TIA reads.
+  // Build and query: page_file.alloc/write on inserts, page_file.read,
+  // buffer_pool.fetch and tia.aggregate on TIA reads.
   auto tree = MakeTree(11, 40);
   Rng qrng(13);
   std::vector<KnntaResult> results;

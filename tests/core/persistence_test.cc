@@ -97,15 +97,63 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(PersistenceTest, RoundTripOnBpTreeBackend) {
+/// Byte offset of the TIA-backend byte in a saved image: the 8-byte
+/// preamble, the Options frame's u32 tag and u64 length, then the
+/// strategy byte.
+constexpr std::size_t kBackendByteOffset = 8 + 12 + 1;
+
+TEST(PersistenceTest, RoundTripOnFlatBackend) {
   auto tree = MakeTree(7, 150, GroupingStrategy::kIntegral3D,
-                       TiaBackend::kBpTree);
+                       TiaBackend::kFlat);
   std::stringstream buffer;
   ASSERT_TRUE(tree->Save(buffer).ok());
+  // Flat has a byte of its own, not the removed B+-tree's 1.
+  EXPECT_EQ(buffer.str()[kBackendByteOffset], 2);
   auto loaded = TarTree::Load(buffer);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.ValueOrDie()->options().tia_backend, TiaBackend::kBpTree);
+  EXPECT_EQ(loaded.ValueOrDie()->options().tia_backend, TiaBackend::kFlat);
   EXPECT_TRUE(loaded.ValueOrDie()->CheckInvariants().ok());
+}
+
+/// A saved image with its TIA-backend byte set to `backend` and every
+/// checksum re-sealed (the Options section's, the whole-file CRC in the
+/// footer and the footer frame's), so only the byte's meaning is tested.
+std::string WithBackendByte(std::string bytes, std::uint8_t backend) {
+  std::uint64_t len = 0;
+  std::memcpy(&len, bytes.data() + 12, sizeof(len));
+  bytes[kBackendByteOffset] = static_cast<char>(backend);
+  const std::uint32_t crc = Crc32c(bytes.data() + 20, len);
+  std::memcpy(bytes.data() + 20 + len, &crc, sizeof(crc));
+  const std::size_t footer = bytes.size() - 28;
+  const std::uint32_t file_crc = Crc32c(bytes.data(), footer);
+  std::memcpy(bytes.data() + footer + 12, &file_crc, sizeof(file_crc));
+  const std::uint32_t frame_crc = Crc32c(bytes.data() + footer + 12, 12);
+  std::memcpy(bytes.data() + footer + 24, &frame_crc, sizeof(frame_crc));
+  return bytes;
+}
+
+TEST(PersistenceTest, RejectsRemovedBpTreeBackend) {
+  auto tree = MakeTree(29, 40, GroupingStrategy::kIntegral3D);
+  std::stringstream buffer;
+  ASSERT_TRUE(tree->Save(buffer).ok());
+  const std::string bytes = buffer.str();
+  ASSERT_EQ(bytes[kBackendByteOffset], 0);
+
+  // Control: re-sealing with the MVBT's own byte leaves a loadable file.
+  std::stringstream same(WithBackendByte(bytes, 0));
+  ASSERT_TRUE(TarTree::Load(same).ok());
+
+  // Byte 1 named the B+-tree backend: refused, naming what is gone.
+  std::stringstream bptree(WithBackendByte(bytes, 1));
+  auto loaded = TarTree::Load(bptree);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsNotSupported()) << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("B+-tree"), std::string::npos)
+      << loaded.status().ToString();
+
+  // A byte no backend ever used is corruption.
+  std::stringstream junk(WithBackendByte(bytes, 3));
+  EXPECT_TRUE(TarTree::Load(junk).status().IsCorruption());
 }
 
 TEST(PersistenceTest, EmptyTreeRoundTrip) {

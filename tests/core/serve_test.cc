@@ -92,7 +92,7 @@ TEST(ServeTest, OverloadShedsWithRetryAfterHint) {
   // machine-readable backoff hint.
   std::atomic<bool> stop{false};
   std::string hint;
-  Mutex hint_mu{LockRank::kServeStats, "test.hint"};
+  Mutex hint_mu{LockRank::kParallelMerge, "test.hint"};
   auto hammer = [&] {
     std::vector<KnntaResult> results;
     int i = 0;

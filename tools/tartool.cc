@@ -6,14 +6,14 @@
 //
 //   tartool build --input checkins.tsv --out index.tart
 //           [--strategy tar|spa|agg] [--threshold N] [--epoch-days 7]
-//           [--node-bytes 1024] [--backend mvbt|bptree]
+//           [--node-bytes 1024] [--backend mvbt|flat]
 //       Buckets the check-ins into epochs, selects the effective POIs and
 //       builds a persistent index.
 //
 //   tartool info --index index.tart
 //   tartool check index.tart [--samples N] [--shallow]
 //       fsck for a persisted index: loads it with verify-on-load and runs
-//       the full structure verifier (MVBT/B+-tree invariants, MBR and
+//       the full structure verifier (MVBT/flat TIA invariants, MBR and
 //       aggregate-bound containment, TIA cross-checks, buffer pool).
 //   tartool query --index index.tart --x LON --y LAT --days 30
 //           [--k 10] [--alpha 0.3] [--mwa] [--fallback-scan] [--trace]
@@ -26,7 +26,7 @@
 //
 //   tartool ingest --input checkins.tsv --store PREFIX
 //           [--strategy tar|spa|agg] [--threshold N] [--epoch-days 7]
-//           [--node-bytes 1024] [--backend mvbt|bptree]
+//           [--node-bytes 1024] [--backend mvbt|flat]
 //           [--checkpoint-every K] [--metrics]
 //       Online ingestion against a WAL-backed store (PREFIX.tart is the
 //       checkpoint snapshot, PREFIX.wal the write-ahead log). A fresh
@@ -77,8 +77,9 @@
 //       Deadline/overload storm harness. Every seed deterministically
 //       expands into a small store, its sequential-scan oracle and a
 //       query batch, then runs the batch through the parallel driver
-//       under injected slow-I/O delays (failpoint delay action) with
-//       per-query deadlines, bounded admission, partial degradation on
+//       under injected slow-I/O delays (failpoint delay action on page
+//       fetches, or on Aggregate calls for flat TIAs) with per-query
+//       deadlines, bounded admission, partial degradation on
 //       alternating seeds and a mid-batch cancellation on every third
 //       seed. Checks: every query completes bit-identically to the
 //       oracle, returns a labeled partial whose prefix and score bound
@@ -198,6 +199,36 @@ std::string Flag(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? def : it->second;
 }
 
+/// Sets opt->strategy and opt->tia_backend from --strategy and --backend.
+/// An unknown value is an error that names the accepted ones, never a
+/// silent fallback to the default.
+bool ParseTreeFlags(const std::map<std::string, std::string>& flags,
+                    TarTreeOptions* opt) {
+  const std::string strategy = Flag(flags, "strategy", "tar");
+  const std::string backend = Flag(flags, "backend", "mvbt");
+  if (strategy == "tar") {
+    opt->strategy = GroupingStrategy::kIntegral3D;
+  } else if (strategy == "spa") {
+    opt->strategy = GroupingStrategy::kSpatial;
+  } else if (strategy == "agg") {
+    opt->strategy = GroupingStrategy::kAggregate;
+  } else {
+    std::fprintf(stderr, "unknown --strategy '%s' (expected tar, spa or agg)\n",
+                 strategy.c_str());
+    return false;
+  }
+  if (backend == "mvbt") {
+    opt->tia_backend = TiaBackend::kMvbt;
+  } else if (backend == "flat") {
+    opt->tia_backend = TiaBackend::kFlat;
+  } else {
+    std::fprintf(stderr, "unknown --backend '%s' (expected mvbt or flat)\n",
+                 backend.c_str());
+    return false;
+  }
+  return true;
+}
+
 /// Civil date from days since the Unix epoch (Howard Hinnant's algorithm;
 /// the inverse of the loader's parser).
 void CivilFromDays(std::int64_t z, int* y, int* m, int* d) {
@@ -263,8 +294,8 @@ int Generate(const std::map<std::string, std::string>& flags) {
 int Build(const std::map<std::string, std::string>& flags) {
   std::string input = Flag(flags, "input", "checkins.tsv");
   std::string out_path = Flag(flags, "out", "index.tart");
-  std::string strategy = Flag(flags, "strategy", "tar");
-  std::string backend = Flag(flags, "backend", "mvbt");
+  TarTreeOptions opt;
+  if (!ParseTreeFlags(flags, &opt)) return 1;
   std::int64_t threshold = std::atoll(Flag(flags, "threshold", "50").c_str());
   int epoch_days = std::atoi(Flag(flags, "epoch-days", "7").c_str());
   std::size_t node_bytes =
@@ -281,12 +312,6 @@ int Build(const std::map<std::string, std::string>& flags) {
   EpochCounts counts = BuildEpochCounts(data, grid);
   std::vector<PoiId> effective = EffectivePois(counts, threshold);
 
-  TarTreeOptions opt;
-  opt.strategy = strategy == "spa"   ? GroupingStrategy::kSpatial
-                 : strategy == "agg" ? GroupingStrategy::kAggregate
-                                     : GroupingStrategy::kIntegral3D;
-  opt.tia_backend =
-      backend == "bptree" ? TiaBackend::kBpTree : TiaBackend::kMvbt;
   opt.node_size_bytes = node_bytes;
   opt.grid = grid;
   opt.space = data.bounds;
@@ -594,8 +619,8 @@ int Ingest(const std::map<std::string, std::string>& flags) {
   const std::string store = Flag(flags, "store", "store");
   const std::string snap = store + ".tart";
   const std::string walp = store + ".wal";
-  const std::string strategy = Flag(flags, "strategy", "tar");
-  const std::string backend = Flag(flags, "backend", "mvbt");
+  TarTreeOptions opt;
+  if (!ParseTreeFlags(flags, &opt)) return 1;
   const std::int64_t threshold =
       std::atoll(Flag(flags, "threshold", "50").c_str());
   const int epoch_days = std::atoi(Flag(flags, "epoch-days", "7").c_str());
@@ -630,12 +655,6 @@ int Ingest(const std::map<std::string, std::string>& flags) {
     std::printf("resumed store %s: %s\n", store.c_str(),
                 report.ToString().c_str());
   } else {
-    TarTreeOptions opt;
-    opt.strategy = strategy == "spa"   ? GroupingStrategy::kSpatial
-                   : strategy == "agg" ? GroupingStrategy::kAggregate
-                                       : GroupingStrategy::kIntegral3D;
-    opt.tia_backend =
-        backend == "bptree" ? TiaBackend::kBpTree : TiaBackend::kMvbt;
     opt.node_size_bytes = node_bytes;
     opt.grid = grid;
     opt.space = data.bounds;
@@ -1312,7 +1331,7 @@ int CrashTest(const std::map<std::string, std::string>& flags) {
   for (int round = 0; round < rounds; ++round) {
     const std::uint64_t rseed = seed + static_cast<std::uint64_t>(round);
     const TiaBackend backend =
-        round % 2 == 0 ? TiaBackend::kMvbt : TiaBackend::kBpTree;
+        round % 2 == 0 ? TiaBackend::kMvbt : TiaBackend::kFlat;
     injector.Clear();
     auto tree = BuildCrashTree(rseed, scale, backend);
     if (tree == nullptr) {
@@ -1625,7 +1644,7 @@ int ChaosRound(std::uint64_t rseed, std::size_t threads, double deadline_ms,
   const unsigned long long rs = static_cast<unsigned long long>(rseed);
   fail::FaultInjector& injector = fail::FaultInjector::Global();
   const TiaBackend backend =
-      rseed % 2 == 0 ? TiaBackend::kMvbt : TiaBackend::kBpTree;
+      rseed % 2 == 0 ? TiaBackend::kMvbt : TiaBackend::kFlat;
   const TarTreeOptions opt = IngestMatrixOptions(backend);
   const std::vector<IngestOp> ops = MakeIngestOps(rseed);
   std::unique_ptr<TarTree> tree = IngestRefTree(opt, ops, ops.size());
@@ -1655,14 +1674,16 @@ int ChaosRound(std::uint64_t rseed, std::size_t threads, double deadline_ms,
   // for a loaded CI machine.
   const double eps_ms = 500.0 + 64.0 * delay_ms;
 
-  // Storm A: slow TIA reads + per-query deadlines + bounded admission.
+  // Storm A: slow TIA reads + per-query deadlines + bounded admission. A
+  // flat TIA fetches no page, so flat rounds slow Aggregate itself.
   {
     const double probability =
         0.3 + 0.1 * static_cast<double>(rseed % 5);  // 0.3 .. 0.7
+    const char* site = backend == TiaBackend::kFlat ? "tia.aggregate"
+                                                    : "buffer_pool.fetch";
     char spec[96];
-    std::snprintf(spec, sizeof(spec),
-                  "buffer_pool.fetch=delay@%.1f@%.1f;seed=%llu", delay_ms,
-                  probability, rs);
+    std::snprintf(spec, sizeof(spec), "%s=delay@%.1f@%.1f;seed=%llu", site,
+                  delay_ms, probability, rs);
     if (!injector.Configure(spec).ok()) return 2;
     ParallelQueryOptions popt;
     popt.num_threads = threads;
@@ -2443,7 +2464,7 @@ int Usage() {
                "ingest|recover|crashtest|chaos|audit|serve> [--flags]\n"
                "  generate --preset gw|gs|nyc|la --scale S --out FILE\n"
                "  build    --input FILE --out INDEX [--strategy tar|spa|agg]"
-               " [--threshold N] [--epoch-days D] [--backend mvbt|bptree]\n"
+               " [--threshold N] [--epoch-days D] [--backend mvbt|flat]\n"
                "  info     --index INDEX\n"
                "  check    INDEX [--samples N] [--shallow]\n"
                "  query    --index INDEX --x X --y Y --days D [--k K]"
@@ -2453,7 +2474,7 @@ int Usage() {
                " [--days D] [--alpha A] [--seed S] [--metrics]\n"
                "  ingest   --input FILE --store PREFIX [--strategy tar|spa|"
                "agg] [--threshold N]\n"
-               "           [--epoch-days D] [--backend mvbt|bptree]"
+               "           [--epoch-days D] [--backend mvbt|flat]"
                " [--checkpoint-every K] [--metrics]\n"
                "  recover  --store PREFIX [--checkpoint] [--shallow]\n"
                "  crashtest [--rounds N] [--seed S] [--scale F] [--path P]\n"
