@@ -75,8 +75,9 @@ class StructureVerifier {
   /// own invariants (deep_tia).
   Status VerifyTia(const Tia& tia, VerifyReport* report = nullptr) const;
 
-  /// Buffer pool: per-owner residency <= quota, LRU list <-> map
-  /// consistency, no duplicate frames, no dangling page ids.
+  /// Buffer pool (BufferPool::CheckIntegrity): per-owner residency <=
+  /// quota, no page cached twice by one owner, no cached page id past the
+  /// end of the file.
   Status VerifyBufferPool(const BufferPool& pool) const;
 
   /// Concurrent-consistency check for a pool that N threads just hammered

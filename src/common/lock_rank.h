@@ -21,9 +21,10 @@
 //
 // Rationale for the current order: tree-level coordination comes first
 // (held across storage calls in the future sharded server), then WAL
-// buffering, then buffer-pool shards, then the page directory (the one
-// documented nesting today: a shard latch may be held while taking the
-// PageFile latch). Observability and test facilities (metrics registry,
+// buffering, then buffer-pool shards, then the page directory (a shard
+// latch may be held while taking the PageFile latch, though BufferPool
+// no longer does: it makes every PageFile call outside its shard latch).
+// Observability and test facilities (metrics registry,
 // failpoint registry) are leaf-most — they may be reached from inside
 // any storage path (e.g. a `wal.sync` failpoint fires under the WAL
 // writer latch), so they rank above everything.

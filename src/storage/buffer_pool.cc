@@ -1,30 +1,40 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
+#include <string>
+
 #include "common/check.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
 
 namespace tar {
 
-bool BufferPool::TouchLocked(Shard& shard, OwnerId owner, PageId id) {
+const Page* BufferPool::HitLocked(Shard& shard, OwnerId owner, PageId id) {
   shard.mu.AssertHeld();
+  auto cache = shard.caches.find(owner);
+  if (cache == shard.caches.end()) return nullptr;
+  Frames& frames = cache->second;
+  for (auto it = frames.begin(); it != frames.end(); ++it) {
+    if (it->id == id) {
+      std::rotate(frames.begin(), it, it + 1);
+      return frames.front().page;
+    }
+  }
+  return nullptr;
+}
+
+void BufferPool::InsertLocked(Shard& shard, OwnerId owner, PageId id,
+                              const Page* page) {
+  shard.mu.AssertHeld();
+  TAR_DCHECK(page != nullptr);
   const std::size_t quota = quota_.load(std::memory_order_relaxed);
-  if (quota == 0) return false;
-  OwnerCache& cache = shard.caches[owner];
-  auto it = cache.where.find(id);
-  if (it != cache.where.end()) {
-    cache.lru.splice(cache.lru.begin(), cache.lru, it->second);
-    return true;
-  }
-  cache.lru.push_front(id);
-  cache.where[id] = cache.lru.begin();
-  while (cache.lru.size() > quota) {
-    cache.where.erase(cache.lru.back());
-    cache.lru.pop_back();
-  }
-  TAR_DCHECK(cache.lru.size() == cache.where.size());
-  TAR_DCHECK(cache.lru.size() <= quota);
-  return false;
+  if (quota == 0 || HitLocked(shard, owner, id) != nullptr) return;
+  auto [cache, first] = shard.caches.try_emplace(owner);
+  Frames& frames = cache->second;
+  // Reserved at quota size, so later hits and misses do not allocate.
+  if (first) frames.reserve(quota);
+  while (frames.size() >= quota) frames.pop_back();
+  frames.insert(frames.begin(), Frame{id, page});
 }
 
 Result<const Page*> BufferPool::Fetch(OwnerId owner, PageId id,
@@ -32,13 +42,13 @@ Result<const Page*> BufferPool::Fetch(OwnerId owner, PageId id,
   // Injected before the LRU is touched, so a failed fetch leaves the pool
   // state exactly as it was (CheckIntegrity holds across injected faults).
   TAR_INJECT_FAULT("buffer_pool.fetch");
-  bool hit;
+  Shard& shard = ShardFor(owner);
+  const Page* page = nullptr;
   {
-    Shard& shard = ShardFor(owner);
     MutexLock lock(&shard.mu);
-    hit = TouchLocked(shard, owner, id);
+    page = HitLocked(shard, owner, id);
   }
-  if (hit) {
+  if (page != nullptr) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     if (MetricsEnabled()) {
       // Resolved once and cached; the hot path pays one relaxed add.
@@ -47,8 +57,6 @@ Result<const Page*> BufferPool::Fetch(OwnerId owner, PageId id,
       hits_metric->Increment();
     }
     if (was_hit) *was_hit = true;
-    const Page* page = file_->UnaccountedPage(id);
-    if (page == nullptr) return Status::OutOfRange("page id out of range");
     return page;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
@@ -58,18 +66,21 @@ Result<const Page*> BufferPool::Fetch(OwnerId owner, PageId id,
     misses_metric->Increment();
   }
   if (was_hit) *was_hit = false;
-  return file_->ReadPage(id);
+  // Read outside the latch; a failed read caches nothing.
+  TAR_ASSIGN_OR_RETURN(page, file_->ReadPage(id));
+  MutexLock lock(&shard.mu);
+  InsertLocked(shard, owner, id, page);
+  return page;
 }
 
 Result<Page*> BufferPool::FetchForWrite(OwnerId owner, PageId id) {
   TAR_INJECT_FAULT("buffer_pool.fetch");
-  {
-    // Write-through: cache but always charge the write.
-    Shard& shard = ShardFor(owner);
-    MutexLock lock(&shard.mu);
-    TouchLocked(shard, owner, id);
-  }
-  return file_->GetPageForWrite(id);
+  // Write-through: always charge the write, then cache the page.
+  TAR_ASSIGN_OR_RETURN(Page* page, file_->GetPageForWrite(id));
+  Shard& shard = ShardFor(owner);
+  MutexLock lock(&shard.mu);
+  InsertLocked(shard, owner, id, page);
+  return page;
 }
 
 Status BufferPool::CheckIntegrity() const {
@@ -78,35 +89,25 @@ Status BufferPool::CheckIntegrity() const {
     MutexLock lock(&shard.mu);
     // Stable while any shard latch is held: writers hold all of them.
     const std::size_t quota = quota_.load(std::memory_order_relaxed);
-    for (const auto& [owner, cache] : shard.caches) {
-      const std::string who = "owner " + std::to_string(owner);
-      if (quota == 0 && !cache.lru.empty()) {
-        return Status::Corruption(who + ": cached pages with a zero quota");
+    for (const auto& [owner, frames] : shard.caches) {
+      auto corrupt = [owner = owner](const std::string& what) {
+        return Status::Corruption("owner " + std::to_string(owner) + ": " +
+                                  what);
+      };
+      if (frames.size() > quota) {
+        return corrupt("residency exceeds quota (" +
+                       std::to_string(frames.size()) + " > " +
+                       std::to_string(quota) + ")");
       }
-      if (cache.lru.size() > quota) {
-        return Status::Corruption(who + ": residency exceeds quota (" +
-                                  std::to_string(cache.lru.size()) + " > " +
-                                  std::to_string(quota) + ")");
-      }
-      if (cache.lru.size() != cache.where.size()) {
-        return Status::Corruption(who + ": LRU list and map sizes disagree");
-      }
-      for (auto it = cache.lru.begin(); it != cache.lru.end(); ++it) {
-        auto pos = cache.where.find(*it);
-        if (pos == cache.where.end()) {
-          return Status::Corruption(who + ": LRU frame for page " +
-                                    std::to_string(*it) +
-                                    " missing from map");
+      for (auto it = frames.begin(); it != frames.end(); ++it) {
+        const PageId id = it->id;
+        if (std::any_of(frames.begin(), it,
+                        [id](const Frame& f) { return f.id == id; })) {
+          return corrupt("page " + std::to_string(id) + " cached twice");
         }
-        if (pos->second != it) {
-          return Status::Corruption(who + ": map iterator for page " +
-                                    std::to_string(*it) +
-                                    " points at a different frame");
-        }
-        if (*it >= num_pages) {
-          return Status::Corruption(who + ": cached page " +
-                                    std::to_string(*it) +
-                                    " beyond the end of the file");
+        if (id >= num_pages) {
+          return corrupt("cached page " + std::to_string(id) +
+                         " beyond the end of the file");
         }
       }
     }
@@ -127,11 +128,8 @@ void BufferPool::set_quota(std::size_t quota) TAR_NO_THREAD_SAFETY_ANALYSIS {
   for (Shard& shard : shards_) shard.mu.AssertHeld();
   quota_.store(quota, std::memory_order_relaxed);
   for (Shard& shard : shards_) {
-    for (auto& [owner, cache] : shard.caches) {
-      while (cache.lru.size() > quota) {
-        cache.where.erase(cache.lru.back());
-        cache.lru.pop_back();
-      }
+    for (auto& [owner, frames] : shard.caches) {
+      if (frames.size() > quota) frames.resize(quota);
     }
   }
   for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {

@@ -4,8 +4,8 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <unordered_map>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/result.h"
@@ -24,12 +24,20 @@ using OwnerId = std::uint32_t;
 /// configuration. A fetch that hits the pool is free; a miss costs one
 /// simulated disk read, which is what the node-access metric charges.
 ///
+/// Each owner's LRU is a flat array of {page id, page} frames, most
+/// recently used first, reserved at quota size when the owner gets its
+/// first frame. A hit is one shard latch, an owner lookup and a probe of
+/// at most `quota` frames; it returns the cached page pointer (valid for
+/// the PageFile's lifetime, see PageFile) without calling the PageFile
+/// and without allocating. A miss reads the page outside the shard latch
+/// and caches it only if the read succeeded.
+///
 /// Thread safety: fully thread-safe. Owner caches are partitioned into
 /// shards, each guarded by its own latch; the hit/miss counters are
 /// atomic. The latch hierarchy is documented in docs/internals.md
-/// ("Threading model"): a shard latch may be held while acquiring the
-/// PageFile latch, never the reverse, and the only multi-latch path
-/// (set_quota) takes shard latches in ascending index order.
+/// ("Threading model"): no PageFile call is made under a shard latch,
+/// and the only multi-latch path (set_quota) takes shard latches in
+/// ascending index order.
 class BufferPool {
  public:
   /// \param quota_per_owner max cached pages per owner; 0 disables caching.
@@ -43,7 +51,8 @@ class BufferPool {
   /// page was served from the pool.
   Result<const Page*> Fetch(OwnerId owner, PageId id, bool* was_hit = nullptr);
 
-  /// Fetches a page for mutation. Write-through: the page is also cached.
+  /// Fetches a page for mutation. Write-through: the write is always
+  /// charged to the file, and the page is then cached like a read.
   Result<Page*> FetchForWrite(OwnerId owner, PageId id);
 
   /// Drops every cached page (all owners).
@@ -98,23 +107,26 @@ class BufferPool {
     return CounterSnapshot{hits(), misses()};
   }
 
-  /// Structural integrity: every owner's residency is within quota, the
-  /// LRU list and the position map describe the same frame set (same
-  /// size, no duplicates, iterators in agreement), and every cached page
-  /// id exists in the backing file. Returns Status::Corruption naming the
-  /// owner of the first inconsistent cache. Safe to call concurrently
-  /// with fetches (each shard is checked under its latch).
+  /// Structural integrity: every owner's residency is within quota, no
+  /// page is cached twice by one owner, and every cached page id exists
+  /// in the backing file. Returns Status::Corruption naming the owner of
+  /// the first inconsistent cache. Safe to call concurrently with fetches
+  /// (each shard is checked under its latch; the file size is read
+  /// before any latch is taken).
   Status CheckIntegrity() const;
 
   PageFile* file() { return file_; }
   const PageFile* file() const { return file_; }
 
  private:
-  struct OwnerCache {
-    // Front = most recently used.
-    std::list<PageId> lru;
-    std::unordered_map<PageId, std::list<PageId>::iterator> where;
+  /// One cached page. The pointer is the one the PageFile handed out,
+  /// which stays valid while the file lives.
+  struct Frame {
+    PageId id;
+    const Page* page;
   };
+  /// One owner's resident pages; front = most recently used.
+  using Frames = std::vector<Frame>;
 
   /// One latch-sharded slice of the owner map. Owners hash to a fixed
   /// shard, so one owner's LRU state is only ever touched under one latch.
@@ -122,7 +134,7 @@ class BufferPool {
     /// Equal rank across all 16 shards; multi-acquired only in ascending
     /// construction (= index) order, which the debug detector checks.
     mutable Mutex mu{LockRank::kBufferPoolShard, "buffer_pool.shard"};
-    std::unordered_map<OwnerId, OwnerCache> caches TAR_GUARDED_BY(mu);
+    std::unordered_map<OwnerId, Frames> caches TAR_GUARDED_BY(mu);
   };
 
   static constexpr std::size_t kNumShards = 16;
@@ -131,9 +143,15 @@ class BufferPool {
     return shards_[owner % kNumShards];
   }
 
-  /// Marks (owner, id) resident in `shard`, evicting the owner's LRU pages
-  /// while over quota. Returns true if the page was already resident.
-  bool TouchLocked(Shard& shard, OwnerId owner, PageId id)
+  /// The cached page of (owner, id), moved to the owner's front; nullptr
+  /// if it is not resident.
+  const Page* HitLocked(Shard& shard, OwnerId owner, PageId id)
+      TAR_REQUIRES(shard.mu);
+
+  /// Makes `page` the owner's most recently used frame for `id`: moves
+  /// the frame to the front if a concurrent miss already cached it,
+  /// otherwise evicts the owner's LRU frame when at quota and inserts it.
+  void InsertLocked(Shard& shard, OwnerId owner, PageId id, const Page* page)
       TAR_REQUIRES(shard.mu);
 
   PageFile* file_;

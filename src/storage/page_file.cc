@@ -5,7 +5,6 @@
 
 namespace tar {
 
-
 Result<PageId> PageFile::Allocate() {
   TAR_INJECT_FAULT("page_file.alloc");
   MutexLock lock(&mu_);
@@ -52,11 +51,6 @@ Result<const Page*> PageFile::ReadPage(PageId id) {
     reads_metric->Increment();
   }
   return const_cast<const Page*>(page);
-}
-
-Page* PageFile::UnaccountedPage(PageId id) {
-  MutexLock lock(&mu_);
-  return PageOrNull(id);
 }
 
 }  // namespace tar

@@ -18,15 +18,20 @@ namespace tar {
 ///
 /// The paper's experiments measure node/page accesses rather than wall-clock
 /// disk latency, so the "disk" here is RAM plus exact access accounting.
-/// All reads and writes go through ReadPage/GetPage so the physical access
-/// counters are trustworthy.
+/// All reads and writes go through ReadPage/GetPageForWrite so the
+/// physical access counters are trustworthy.
+///
+/// Page lifetime: a page is never freed, moved or reused while its
+/// PageFile lives (there is no page deallocation), so a Page* handed out
+/// by ReadPage/GetPageForWrite stays valid, at the same address, until
+/// the PageFile is destroyed. BufferPool relies on this: it caches those
+/// pointers and serves hits from them without calling the PageFile.
 ///
 /// Thread safety: the page directory is latched and the counters are
 /// atomic, so Allocate and the page accessors may be called concurrently.
-/// Pages are heap-allocated, so a Page* stays valid across later
-/// Allocate calls. Page *payloads* are not latched: concurrent readers are
-/// fine, but a writer of a page's bytes must be the only thread touching
-/// that page (the query path is read-only; builds are single-threaded).
+/// Page *payloads* are not latched: concurrent readers are fine, but a
+/// writer of a page's bytes must be the only thread touching that page
+/// (the query path is read-only; builds are single-threaded).
 ///
 /// Failure model: every accessor evaluates a failpoint site
 /// (`page_file.read`, `page_file.write`, `page_file.alloc`; see
@@ -56,10 +61,6 @@ class PageFile {
   /// Direct access for reading; counts one physical read.
   Result<const Page*> ReadPage(PageId id) TAR_EXCLUDES(mu_);
 
-  /// Access without touching the counters (used by the buffer pool after it
-  /// has already accounted for the miss, and by tests).
-  Page* UnaccountedPage(PageId id) TAR_EXCLUDES(mu_);
-
   std::uint64_t physical_reads() const {
     return physical_reads_.load(std::memory_order_relaxed);
   }
@@ -77,7 +78,8 @@ class PageFile {
 
   const std::size_t page_size_;
   mutable Mutex mu_{LockRank::kPageFile, "page_file"};
-  /// Heap-allocated so handed-out Page* survive directory growth.
+  /// Heap-allocated so handed-out Page* survive directory growth (the
+  /// lifetime contract above).
   std::vector<std::unique_ptr<Page>> pages_ TAR_GUARDED_BY(mu_);
   std::atomic<std::uint64_t> physical_reads_{0};
   std::atomic<std::uint64_t> physical_writes_{0};

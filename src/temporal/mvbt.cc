@@ -408,48 +408,24 @@ Result<std::optional<Value>> Mvbt::Lookup(Version v, Key key,
   }
 }
 
-Status Mvbt::RangeScanNode(Version v, PageId page_id, Key lo, Key hi,
-                           std::vector<std::pair<Key, Value>>* out,
-                           AccessStats* stats) const {
-  TAR_ASSIGN_OR_RETURN(const Page* page, FetchForQuery(page_id, stats));
-  bool is_leaf = page->ReadAt<std::uint8_t>(0) != 0;
-  std::uint16_t count = page->ReadAt<std::uint16_t>(2);
-  if (is_leaf) {
-    for (std::uint16_t i = 0; i < count; ++i) {
-      Entry e = EntryAt(*page, i);
-      if (e.AliveAt(v) && lo <= e.key_lo && e.key_lo <= hi) {
-        out->emplace_back(e.key_lo, e.value);
-      }
-    }
-    return Status::OK();
-  }
-  for (std::uint16_t i = 0; i < count; ++i) {
-    Entry e = EntryAt(*page, i);
-    if (e.AliveAt(v) && e.key_lo <= hi && lo < e.key_hi) {
-      TAR_RETURN_NOT_OK(RangeScanNode(v, static_cast<PageId>(e.value), lo,
-                                      hi, out, stats));
-    }
-  }
-  return Status::OK();
-}
-
 Status Mvbt::RangeScan(Version v, Key lo, Key hi,
                        std::vector<std::pair<Key, Value>>* out,
                        AccessStats* stats) const {
   out->clear();
-  auto root = RootAt(v);
-  if (!root.has_value()) return Status::OK();
-  TAR_RETURN_NOT_OK(RangeScanNode(v, root->page, lo, hi, out, stats));
+  TAR_RETURN_NOT_OK(Scan(v, lo, hi, stats, [out](Key key, Value value) {
+    out->emplace_back(key, value);
+  }));
   std::sort(out->begin(), out->end());
   return Status::OK();
 }
 
 Result<std::size_t> Mvbt::CountAlive(Version v) const {
-  std::vector<std::pair<Key, Value>> all;
+  std::size_t n = 0;
   // [kKeyMin, kKeyMax] is closed on both ends, matching RangeScan's
   // inclusive bounds (kKeyMax - 1 would drop a record at the top key).
-  TAR_RETURN_NOT_OK(RangeScan(v, kKeyMin, kKeyMax, &all));
-  return all.size();
+  TAR_RETURN_NOT_OK(
+      Scan(v, kKeyMin, kKeyMax, nullptr, [&n](Key, Value) { ++n; }));
+  return n;
 }
 
 Status Mvbt::CheckInvariants() const {

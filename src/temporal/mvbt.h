@@ -61,7 +61,13 @@ struct NodeLayout {
 
 /// \brief The multiversion B-tree.
 ///
-/// Thread safety: const query methods (Lookup, RangeScan*) are safe
+/// Query methods (Lookup, Scan and the scans built on it) read entries
+/// directly off the pages the buffer pool returns; only updates
+/// materialize nodes. Scan hands each in-range record to a visitor while
+/// it walks the pages, so a caller that only folds the records (counts
+/// them, sums them) allocates nothing and sorts nothing.
+///
+/// Thread safety: const query methods (Lookup, Scan, RangeScan*) are safe
 /// concurrently — page access goes through the latched buffer pool;
 /// Insert/Erase require external exclusion.
 class Mvbt {
@@ -86,6 +92,17 @@ class Mvbt {
   /// Value of `key` as of version v, or nullopt if not alive there.
   Result<std::optional<Value>> Lookup(Version v, Key key,
                                       AccessStats* stats = nullptr) const;
+
+  /// Calls visit(key, value) for every record alive at version v with key
+  /// in [lo, hi], in page-walk order (not key order). Every page read goes
+  /// through the buffer pool and is recorded in `stats`.
+  template <typename Visit>
+  Status Scan(Version v, Key lo, Key hi, AccessStats* stats,
+              Visit&& visit) const {
+    auto root = RootAt(v);
+    if (!root.has_value()) return Status::OK();
+    return ScanNode(v, root->page, lo, hi, stats, visit);
+  }
 
   /// All records alive at version v with key in [lo, hi], in key order.
   Status RangeScan(Version v, Key lo, Key hi,
@@ -171,9 +188,25 @@ class Mvbt {
   Status VersionSplit(Version v, PageId page_id, const Node& node,
                       Node* parent, ParentOp* op);
 
-  Status RangeScanNode(Version v, PageId page, Key lo, Key hi,
-                       std::vector<std::pair<Key, Value>>* out,
-                       AccessStats* stats) const;
+  /// Scan's depth-first walk below `page_id`.
+  template <typename Visit>
+  Status ScanNode(Version v, PageId page_id, Key lo, Key hi,
+                  AccessStats* stats, Visit& visit) const {
+    TAR_ASSIGN_OR_RETURN(const Page* page, FetchForQuery(page_id, stats));
+    const bool is_leaf = page->ReadAt<std::uint8_t>(0) != 0;
+    const std::uint16_t count = page->ReadAt<std::uint16_t>(2);
+    for (std::uint16_t i = 0; i < count; ++i) {
+      const Entry e = EntryAt(*page, i);
+      if (!e.AliveAt(v)) continue;
+      if (is_leaf) {
+        if (lo <= e.key_lo && e.key_lo <= hi) visit(e.key_lo, e.value);
+      } else if (e.key_lo <= hi && lo < e.key_hi) {
+        TAR_RETURN_NOT_OK(ScanNode(v, static_cast<PageId>(e.value), lo, hi,
+                                   stats, visit));
+      }
+    }
+    return Status::OK();
+  }
 
   PageFile* file_;
   BufferPool* pool_;

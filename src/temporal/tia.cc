@@ -212,16 +212,22 @@ Result<std::int64_t> Tia::Aggregate(const TimeInterval& iq,
   if (counted != nullptr) ++counted->aggregate_calls;
   const std::uint64_t pages_before =
       counted != nullptr ? counted->tia_page_reads : 0;
-  std::vector<std::pair<std::int64_t, std::int64_t>> hits;
-  TAR_RETURN_NOT_OK(mvbt_->RangeScanCurrent(iq.start, iq.end, &hits, counted));
+  std::int64_t sum = 0;
+  std::size_t in_range = 0;
+  TAR_RETURN_NOT_OK(mvbt_->Scan(
+      mvbt_->last_version(), iq.start, iq.end, counted,
+      [&](mvbt::Key ts, mvbt::Value value) {
+        ++in_range;
+        const TiaRecord rec = Unpack(ts, value);
+        if (rec.extent.end <= iq.end) sum += rec.aggregate;
+      }));
   if (deadline != nullptr && counted != nullptr) {
     deadline->ChargeTiaPages(counted->tia_page_reads - pages_before);
   }
-  std::int64_t sum = 0;
-  for (const auto& [ts, value] : hits) {
+  // One poll per in-range record, so a deadline trips at the same record
+  // count as a per-record loop would.
+  for (std::size_t i = 0; i < in_range; ++i) {
     TAR_CHECK_CANCEL(deadline);  // Poll() amortizes the clock internally
-    TiaRecord rec = Unpack(ts, value);
-    if (rec.extent.end <= iq.end) sum += rec.aggregate;
   }
   return sum;
 }

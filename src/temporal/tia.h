@@ -10,7 +10,9 @@
 //   * kMvbt — the multiversion B-tree the paper uses (asymptotically
 //     optimal for versioned access; keeps the full update history). It is
 //     disk-paged through the buffer pool, so every query is charged page
-//     accesses exactly like a disk-resident index.
+//     accesses exactly like a disk-resident index. Aggregate sums the
+//     in-range records while the MVBT walks the pages, so a read costs
+//     only its page visits: it builds no record list and sorts nothing.
 //   * kFlat — the records in memory, sorted by start, with a prefix-sum
 //     array (the cumulative-aggregate layout of "Ranking Large Temporal
 //     Data"), so Aggregate is two binary searches. A flat TIA reads no
@@ -82,10 +84,10 @@ class Tia {
   /// turns the paper's "epoch intersects Iq" into containment.
   ///
   /// `deadline` (optional) is polled cooperatively: before the backend
-  /// lookup and, on the MVBT, amortized across the record loop, and the
-  /// scan's page reads are charged against its TIA-page budget. A trip
-  /// surfaces as kDeadlineExceeded/kCancelled. Every call first hits the
-  /// `tia.aggregate` failpoint site, on both backends.
+  /// lookup and, on the MVBT, after the scan — which first charges its
+  /// page reads against the TIA-page budget — once per in-range record.
+  /// A trip surfaces as kDeadlineExceeded/kCancelled. Every call first
+  /// hits the `tia.aggregate` failpoint site, on both backends.
   Result<std::int64_t> Aggregate(const TimeInterval& iq,
                                  AccessStats* stats = nullptr,
                                  QueryDeadline* deadline = nullptr) const;

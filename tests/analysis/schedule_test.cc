@@ -215,10 +215,10 @@ TEST(ScheduleTest, WalAppendSyncTwoWritersSerialize) {
 }
 
 TEST(ScheduleTest, ThreeThreadsPoolWalAndCheckpoint) {
-  // Three-way mix across the whole hierarchy: a reader (shard ->
-  // page_file), an ingester appending to the WAL, and a checkpointer
-  // that syncs and truncates the log (the durability step of
-  // core/recovery's Checkpoint). 8!/(3!3!2!) = 560 interleavings.
+  // Three-way mix across the whole hierarchy: a reader (a shard latch,
+  // then page_file on a miss), an ingester appending to the WAL, and a
+  // checkpointer that syncs and truncates the log (the durability step
+  // of core/recovery's Checkpoint). 8!/(3!3!2!) = 560 interleavings.
   const auto schedules = AllInterleavings({3, 3, 2});
   ASSERT_EQ(schedules.size(), 560u);
 

@@ -180,5 +180,61 @@ TEST(ConcurrentBufferPoolTest, SetQuotaIsAtomicAcrossShards) {
   EXPECT_TRUE(pool.CheckIntegrity().ok()) << pool.CheckIntegrity().ToString();
 }
 
+TEST(ConcurrentBufferPoolTest, HitsStayValidWhileTheFileGrows) {
+  // A hit serves the page pointer cached in its frame and never consults
+  // the page directory, so readers hitting warm pages while another thread
+  // grows the same file must keep getting the very pages they got before
+  // the growth.
+  PageFile file(64);
+  constexpr std::size_t kReaders = 4;
+  constexpr std::size_t kWarm = 8;
+  constexpr std::size_t kGrowth = 4000;
+  for (std::size_t i = 0; i < kWarm; ++i) {
+    ASSERT_TRUE(file.Allocate().ok());
+  }
+  BufferPool pool(&file, kWarm);
+  std::vector<const Page*> warm(kWarm);
+  for (OwnerId owner = 0; owner < kReaders; ++owner) {
+    for (PageId id = 0; id < kWarm; ++id) {
+      auto res = pool.Fetch(owner, id);
+      ASSERT_TRUE(res.ok());
+      warm[id] = res.ValueOrDie();
+    }
+  }
+
+  std::atomic<bool> grown{false};
+  std::atomic<std::uint64_t> fetches{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t]() {
+      // Keep hitting until the growth is over, and at least kOpsPerThread
+      // times, so the hits overlap the directory reallocations.
+      for (std::size_t i = 0; i < kOpsPerThread || !grown.load(); ++i) {
+        const auto id = static_cast<PageId>(Mix(t * kOpsPerThread + i) % kWarm);
+        bool hit = false;
+        auto res = pool.Fetch(static_cast<OwnerId>(t), id, &hit);
+        if (!res.ok() || !hit || res.ValueOrDie() != warm[id]) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+        fetches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  threads.emplace_back([&]() {
+    for (std::size_t i = 0; i < kGrowth; ++i) {
+      if (!file.Allocate().ok()) wrong.fetch_add(1, std::memory_order_relaxed);
+    }
+    grown.store(true);
+  });
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(file.num_pages(), kWarm + kGrowth);
+  EXPECT_EQ(pool.misses(), kReaders * kWarm) << "only the warm-up misses";
+  EXPECT_EQ(pool.hits() + pool.misses(), fetches.load() + kReaders * kWarm);
+  EXPECT_TRUE(pool.CheckIntegrity().ok()) << pool.CheckIntegrity().ToString();
+}
+
 }  // namespace
 }  // namespace tar

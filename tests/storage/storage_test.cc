@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
 
@@ -38,7 +39,6 @@ TEST(PageFileTest, OutOfRangeAccessFails) {
   PageFile file(128);
   EXPECT_TRUE(file.ReadPage(3).status().IsOutOfRange());
   EXPECT_TRUE(file.GetPageForWrite(3).status().IsOutOfRange());
-  EXPECT_EQ(file.UnaccountedPage(3), nullptr);
 }
 
 TEST(BufferPoolTest, HitsAreFreeMissesCostAPhysicalRead) {
@@ -135,6 +135,45 @@ TEST(BufferPoolTest, WritesAreVisibleThroughThePool) {
   ASSERT_TRUE(res.ok());
   EXPECT_TRUE(hit);
   EXPECT_EQ(res.ValueOrDie()->ReadAt<std::int32_t>(0), 1234);
+}
+
+TEST(BufferPoolTest, FetchPastTheEndCachesNothing) {
+  PageFile file(128);
+  ASSERT_TRUE(file.Allocate().ok());
+  BufferPool pool(&file, 4);
+  const PageId past_end = 5;
+
+  EXPECT_TRUE(pool.Fetch(1, past_end).status().IsOutOfRange());
+  EXPECT_TRUE(pool.CheckIntegrity().ok()) << pool.CheckIntegrity().ToString();
+  EXPECT_TRUE(pool.FetchForWrite(1, past_end).status().IsOutOfRange());
+  EXPECT_TRUE(pool.CheckIntegrity().ok()) << pool.CheckIntegrity().ToString();
+  EXPECT_TRUE(pool.Fetch(1, past_end).status().IsOutOfRange())
+      << "a failed fetch must not turn into a hit";
+}
+
+TEST(BufferPoolTest, FailedReadLeavesThePageNonResident) {
+  PageFile file(128);
+  PageId a = file.Allocate().ValueOrDie();
+  BufferPool pool(&file, 4);
+  fail::FaultInjector& injector = fail::FaultInjector::Global();
+
+  ASSERT_TRUE(injector.Configure("page_file.read=err").ok());
+  bool hit = true;
+  EXPECT_TRUE(pool.Fetch(1, a, &hit).status().IsIoError());
+  injector.Clear();
+  EXPECT_FALSE(hit);
+  ASSERT_TRUE(pool.Fetch(1, a, &hit).ok());
+  EXPECT_FALSE(hit) << "the page was never read, so it cannot be a hit";
+  EXPECT_EQ(file.physical_reads(), 1u);
+
+  ASSERT_TRUE(injector.Configure("page_file.write=err").ok());
+  EXPECT_TRUE(pool.FetchForWrite(2, a).status().IsIoError());
+  injector.Clear();
+  ASSERT_TRUE(pool.Fetch(2, a, &hit).ok());
+  EXPECT_FALSE(hit) << "a failed write-through must not cache the page";
+  EXPECT_EQ(pool.hits(), 0u);
+  EXPECT_EQ(pool.misses(), 3u);
+  EXPECT_EQ(file.physical_reads(), 2u);
 }
 
 }  // namespace

@@ -70,7 +70,10 @@
 //       percentiles (p50/p95/p99), the per-batch buffer-pool hit rate and
 //       aggregate node-access cost, then checks buffer-pool integrity.
 //       --metrics additionally enables the global metrics registry and
-//       dumps it after the run.
+//       dumps it after the run. Exit 0: every query succeeded and the
+//       pool verified; 1: the index failed to load or a query failed
+//       (a clean failure, e.g. an injected fault); 2: the buffer pool
+//       failed verification after the run.
 //
 //   tartool chaos [--seed N | --seeds N] [--threads T] [--deadline-ms D]
 //           [--delay-ms M] [--path P]
@@ -597,7 +600,7 @@ int Stress(const std::map<std::string, std::string>& flags) {
   if (!st.ok()) {
     std::fprintf(stderr, "buffer pool corrupted by concurrent run: %s\n",
                  st.ToString().c_str());
-    return 1;
+    return 2;
   }
   std::printf("buffer pool integrity after run: OK (%llu hits, %llu "
               "misses cumulative)\n",
@@ -2472,6 +2475,8 @@ int Usage() {
                "           [--deadline-ms D] [--allow-partial]\n"
                "  stress   --index INDEX --threads N --queries M [--k K]"
                " [--days D] [--alpha A] [--seed S] [--metrics]\n"
+               "           (exit 1: a load or query failed;"
+               " 2: the buffer pool failed verification)\n"
                "  ingest   --input FILE --store PREFIX [--strategy tar|spa|"
                "agg] [--threshold N]\n"
                "           [--epoch-days D] [--backend mvbt|flat]"
