@@ -62,6 +62,25 @@ void BM_TiaAggregate(benchmark::State& state) {
 }
 BENCHMARK(BM_TiaAggregate)->Arg(64)->Arg(512);
 
+// The serving write pattern: one MVBT TIA appended its epochs in order,
+// one record each (86 weekly epochs is perfbench's history length).
+void BM_TiaAppend(benchmark::State& state) {
+  const std::int64_t len = 7 * kSecondsPerDay;
+  for (auto _ : state) {
+    state.PauseTiming();
+    PageFile file(1024);
+    BufferPool pool(&file, 10);
+    Tia tia(&file, &pool, 1);
+    state.ResumeTiming();
+    for (std::int64_t e = 0; e < state.range(0); ++e) {
+      benchmark::DoNotOptimize(
+          tia.Append({e * len, (e + 1) * len - 1}, 1 + e % 9));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TiaAppend)->Arg(86);
+
 void BM_TarTreeInsert(benchmark::State& state) {
   Rng rng(7);
   const int epochs = 40;

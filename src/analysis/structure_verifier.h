@@ -83,9 +83,10 @@ class StructureVerifier {
   /// Concurrent-consistency check for a pool that N threads just hammered
   /// (call after the threads have joined): structural integrity per
   /// VerifyBufferPool, plus counter coherence — hits + misses must equal
-  /// the number of Fetch calls the caller issued, no counter may have been
-  /// lost to a race, and every miss must have been charged to the backing
-  /// file (misses <= the file's physical reads).
+  /// the number of Fetch calls that returned a page (a failed fetch counts
+  /// as neither), no counter may have been lost to a race, and every miss
+  /// must have been charged to the backing file (misses <= the file's
+  /// physical reads).
   Status VerifyBufferPoolConcurrency(const BufferPool& pool,
                                      std::uint64_t expected_fetches) const;
 

@@ -59,15 +59,16 @@ Result<const Page*> BufferPool::Fetch(OwnerId owner, PageId id,
     if (was_hit) *was_hit = true;
     return page;
   }
+  if (was_hit) *was_hit = false;
+  // Read outside the latch. A failed read caches nothing and counts as no
+  // miss: it charged no physical read and returned no page.
+  TAR_ASSIGN_OR_RETURN(page, file_->ReadPage(id));
   misses_.fetch_add(1, std::memory_order_relaxed);
   if (MetricsEnabled()) {
     static Counter* const misses_metric =
         MetricsRegistry::Global().GetCounter("buffer_pool.misses");
     misses_metric->Increment();
   }
-  if (was_hit) *was_hit = false;
-  // Read outside the latch; a failed read caches nothing.
-  TAR_ASSIGN_OR_RETURN(page, file_->ReadPage(id));
   MutexLock lock(&shard.mu);
   InsertLocked(shard, owner, id, page);
   return page;

@@ -69,6 +69,10 @@ class BufferPool {
     return quota_.load(std::memory_order_relaxed);
   }
 
+  /// Fetches served from the pool, and fetches that read their page from
+  /// the file. A fetch that fails (an injected fault, a failed read)
+  /// counts as neither, so hits + misses is the number of fetches that
+  /// returned a page and every miss was charged one physical read.
   std::uint64_t hits() const {
     return hits_.load(std::memory_order_relaxed);
   }

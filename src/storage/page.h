@@ -3,45 +3,50 @@
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
+
+#include "common/check.h"
 
 namespace tar {
 
 using PageId = std::uint32_t;
 constexpr PageId kInvalidPageId = 0xFFFFFFFFu;
 
-/// \brief A fixed-size block of bytes, the unit of simulated disk I/O.
+/// \brief A fixed-size run of bytes, the unit of simulated disk I/O.
 ///
 /// MVBT nodes (and therefore TIA records) are serialized into pages so that
 /// the buffer pool can account for disk accesses exactly as a disk-resident
 /// index would incur them.
+///
+/// A Page is a header over bytes its PageFile owns: the file allocates
+/// pages in blocks, so a page's neighbours in memory are other pages, not
+/// allocator redzones. ReadAt and WriteAt therefore check their bounds
+/// with a TAR_DCHECK, which is live in the debug and sanitizer builds.
 class Page {
  public:
-  explicit Page(std::size_t size)
-      : size_(size), data_(new std::uint8_t[size]) {
-    std::memset(data_.get(), 0, size);
-  }
+  Page(std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
 
   std::size_t size() const { return size_; }
-  std::uint8_t* data() { return data_.get(); }
-  const std::uint8_t* data() const { return data_.get(); }
+  std::uint8_t* data() { return data_; }
+  const std::uint8_t* data() const { return data_; }
 
   /// Typed access helpers for fixed-offset serialization.
   template <typename T>
   T ReadAt(std::size_t offset) const {
+    TAR_DCHECK(offset + sizeof(T) <= size_);
     T v;
-    std::memcpy(&v, data_.get() + offset, sizeof(T));
+    std::memcpy(&v, data_ + offset, sizeof(T));
     return v;
   }
 
   template <typename T>
   void WriteAt(std::size_t offset, const T& v) {
-    std::memcpy(data_.get() + offset, &v, sizeof(T));
+    TAR_DCHECK(offset + sizeof(T) <= size_);
+    std::memcpy(data_ + offset, &v, sizeof(T));
   }
 
  private:
+  std::uint8_t* data_;
   std::size_t size_;
-  std::unique_ptr<std::uint8_t[]> data_;
 };
 
 }  // namespace tar

@@ -1,5 +1,7 @@
 #include "storage/page_file.h"
 
+#include <cstring>
+
 #include "common/failpoint.h"
 #include "common/metrics.h"
 
@@ -8,14 +10,27 @@ namespace tar {
 Result<PageId> PageFile::Allocate() {
   TAR_INJECT_FAULT("page_file.alloc");
   MutexLock lock(&mu_);
-  pages_.push_back(std::make_unique<Page>(page_size_));
-  return static_cast<PageId>(pages_.size() - 1);
+  const std::size_t slot = num_pages_ % kPagesPerBlock;
+  if (slot == 0) {
+    // Left uninitialized: each page is zeroed as it is handed out, so
+    // the block's unused tail is never touched.
+    Block block{std::make_unique_for_overwrite<std::uint8_t[]>(
+                    kPagesPerBlock * page_size_),
+                {}};
+    block.pages.reserve(kPagesPerBlock);
+    blocks_.push_back(std::move(block));
+  }
+  Block& block = blocks_.back();
+  std::uint8_t* bytes = block.bytes.get() + slot * page_size_;
+  std::memset(bytes, 0, page_size_);
+  block.pages.emplace_back(bytes, page_size_);
+  return static_cast<PageId>(num_pages_++);
 }
 
 Page* PageFile::PageOrNull(PageId id) {
   mu_.AssertHeld();
-  if (id >= pages_.size()) return nullptr;
-  return pages_[id].get();
+  if (id >= num_pages_) return nullptr;
+  return &blocks_[id / kPagesPerBlock].pages[id % kPagesPerBlock];
 }
 
 Result<Page*> PageFile::GetPageForWrite(PageId id) {

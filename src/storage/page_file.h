@@ -1,4 +1,5 @@
-// Simulated disk: a growable array of fixed-size pages with I/O counters.
+// Simulated disk: a growable array of fixed-size pages, allocated in
+// blocks, with I/O counters.
 #pragma once
 
 #include <atomic>
@@ -21,11 +22,21 @@ namespace tar {
 /// All reads and writes go through ReadPage/GetPageForWrite so the
 /// physical access counters are trustworthy.
 ///
+/// Layout: pages are allocated in blocks of kPagesPerBlock. A block is one
+/// allocation holding its pages' bytes back to back, plus an array of the
+/// Page headers over them; page `id` is header `id % kPagesPerBlock` of
+/// block `id / kPagesPerBlock`. A page's bytes are zeroed when the page is
+/// allocated. Because neighbouring pages share an allocation, an access
+/// past a page's end is caught by Page's bounds TAR_DCHECK, not by a
+/// sanitizer redzone.
+///
 /// Page lifetime: a page is never freed, moved or reused while its
-/// PageFile lives (there is no page deallocation), so a Page* handed out
-/// by ReadPage/GetPageForWrite stays valid, at the same address, until
-/// the PageFile is destroyed. BufferPool relies on this: it caches those
-/// pointers and serves hits from them without calling the PageFile.
+/// PageFile lives (there is no page deallocation, and growing the file
+/// appends blocks without moving any block's bytes or headers), so a
+/// Page* handed out by ReadPage/GetPageForWrite, and the bytes it points
+/// to, stay valid at the same address until the PageFile is destroyed.
+/// BufferPool relies on this: it caches those pointers and serves hits
+/// from them without calling the PageFile.
 ///
 /// Thread safety: the page directory is latched and the counters are
 /// atomic, so Allocate and the page accessors may be called concurrently.
@@ -45,10 +56,15 @@ class PageFile {
   PageFile(const PageFile&) = delete;
   PageFile& operator=(const PageFile&) = delete;
 
+  /// Pages per block: 64 KiB of bytes at the default 1 KiB page, under
+  /// glibc's default mmap threshold (128 KiB). 256-page blocks measured a
+  /// higher resident set on the serving store.
+  static constexpr std::size_t kPagesPerBlock = 64;
+
   std::size_t page_size() const { return page_size_; }
   std::size_t num_pages() const TAR_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
-    return pages_.size();
+    return num_pages_;
   }
 
   /// Allocates a zeroed page and returns its id. Fails only under an
@@ -73,14 +89,22 @@ class PageFile {
   }
 
  private:
+  /// The bytes of kPagesPerBlock pages, and the headers of those allocated
+  /// so far. `pages` is reserved at block size and never grows past it,
+  /// so moving a Block (when blocks_ grows) moves neither bytes nor
+  /// headers: the lifetime contract above.
+  struct Block {
+    std::unique_ptr<std::uint8_t[]> bytes;
+    std::vector<Page> pages;
+  };
+
   /// Bounds-checked page lookup; nullptr when id is out of range.
   Page* PageOrNull(PageId id) TAR_REQUIRES(mu_);
 
   const std::size_t page_size_;
   mutable Mutex mu_{LockRank::kPageFile, "page_file"};
-  /// Heap-allocated so handed-out Page* survive directory growth (the
-  /// lifetime contract above).
-  std::vector<std::unique_ptr<Page>> pages_ TAR_GUARDED_BY(mu_);
+  std::vector<Block> blocks_ TAR_GUARDED_BY(mu_);
+  std::size_t num_pages_ TAR_GUARDED_BY(mu_) = 0;
   std::atomic<std::uint64_t> physical_reads_{0};
   std::atomic<std::uint64_t> physical_writes_{0};
 };

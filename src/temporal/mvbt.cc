@@ -30,20 +30,40 @@ Mvbt::Mvbt(PageFile* file, BufferPool* pool, OwnerId owner)
             strong_high_ > strong_low_);
 }
 
+Entry Mvbt::EntryAt(const Page& page, std::size_t index) {
+  const std::size_t off =
+      NodeLayout::kHeaderBytes + index * NodeLayout::kEntryBytes;
+  Entry e;
+  e.key_lo = page.ReadAt<Key>(off);
+  e.key_hi = page.ReadAt<Key>(off + 8);
+  e.v_start = page.ReadAt<Version>(off + 16);
+  e.v_end = page.ReadAt<Version>(off + 24);
+  e.value = page.ReadAt<Value>(off + 32);
+  return e;
+}
+
+void Mvbt::PutEntry(Page* page, std::size_t index, const Entry& e) {
+  const std::size_t off =
+      NodeLayout::kHeaderBytes + index * NodeLayout::kEntryBytes;
+  page->WriteAt<Key>(off, e.key_lo);
+  page->WriteAt<Key>(off + 8, e.key_hi);
+  page->WriteAt<Version>(off + 16, e.v_start);
+  page->WriteAt<Version>(off + 24, e.v_end);
+  page->WriteAt<Value>(off + 32, e.value);
+}
+
+void Mvbt::Decode(const Page& page, Node* node) {
+  node->is_leaf = page.ReadAt<std::uint8_t>(0) != 0;
+  const std::uint16_t count = page.ReadAt<std::uint16_t>(2);
+  node->entries.resize(count);
+  for (std::uint16_t i = 0; i < count; ++i) {
+    node->entries[i] = EntryAt(page, i);
+  }
+}
+
 Status Mvbt::LoadForUpdate(PageId id, Node* node) const {
   TAR_ASSIGN_OR_RETURN(const Page* page, file_->ReadPage(id));
-  node->is_leaf = page->ReadAt<std::uint8_t>(0) != 0;
-  std::uint16_t count = page->ReadAt<std::uint16_t>(2);
-  node->entries.resize(count);
-  std::size_t off = NodeLayout::kHeaderBytes;
-  for (std::uint16_t i = 0; i < count; ++i, off += NodeLayout::kEntryBytes) {
-    Entry& e = node->entries[i];
-    e.key_lo = page->ReadAt<Key>(off);
-    e.key_hi = page->ReadAt<Key>(off + 8);
-    e.v_start = page->ReadAt<Version>(off + 16);
-    e.v_end = page->ReadAt<Version>(off + 24);
-    e.value = page->ReadAt<Value>(off + 32);
-  }
+  Decode(*page, node);
   return Status::OK();
 }
 
@@ -61,18 +81,6 @@ Result<const Page*> Mvbt::FetchForQuery(PageId id, AccessStats* stats) const {
   return res;
 }
 
-Entry Mvbt::EntryAt(const Page& page, std::size_t index) {
-  std::size_t off =
-      NodeLayout::kHeaderBytes + index * NodeLayout::kEntryBytes;
-  Entry e;
-  e.key_lo = page.ReadAt<Key>(off);
-  e.key_hi = page.ReadAt<Key>(off + 8);
-  e.v_start = page.ReadAt<Version>(off + 16);
-  e.v_end = page.ReadAt<Version>(off + 24);
-  e.value = page.ReadAt<Value>(off + 32);
-  return e;
-}
-
 Status Mvbt::Store(PageId id, const Node& node) {
   if (node.entries.size() > capacity_) {
     return Status::Corruption("MVBT node exceeds block capacity");
@@ -81,14 +89,8 @@ Status Mvbt::Store(PageId id, const Node& node) {
   page->WriteAt<std::uint8_t>(0, node.is_leaf ? 1 : 0);
   page->WriteAt<std::uint16_t>(2, static_cast<std::uint16_t>(
                                       node.entries.size()));
-  std::size_t off = NodeLayout::kHeaderBytes;
-  for (const Entry& e : node.entries) {
-    page->WriteAt<Key>(off, e.key_lo);
-    page->WriteAt<Key>(off + 8, e.key_hi);
-    page->WriteAt<Version>(off + 16, e.v_start);
-    page->WriteAt<Version>(off + 24, e.v_end);
-    page->WriteAt<Value>(off + 32, e.value);
-    off += NodeLayout::kEntryBytes;
+  for (std::size_t i = 0; i < node.entries.size(); ++i) {
+    PutEntry(page, i, node.entries[i]);
   }
   return Status::OK();
 }
@@ -112,18 +114,19 @@ std::optional<Mvbt::RootEntry> Mvbt::RootAt(Version v) const {
   return std::nullopt;
 }
 
-Status Mvbt::FindLeafPath(Version v, Key key, std::vector<PageId>* path,
-                          Node* leaf) const {
+Result<const Page*> Mvbt::FindLeafPath(Version v, Key key,
+                                       std::vector<PageId>* path) const {
   auto root = RootAt(v);
   if (!root.has_value()) return Status::NotFound("empty tree at version");
-  PageId page = root->page;
-  Node node;
+  PageId page_id = root->page;
   for (;;) {
-    path->push_back(page);
-    TAR_RETURN_NOT_OK(LoadForUpdate(page, &node));
-    if (node.is_leaf) break;
+    path->push_back(page_id);
+    TAR_ASSIGN_OR_RETURN(const Page* page, file_->ReadPage(page_id));
+    if (page->ReadAt<std::uint8_t>(0) != 0) return page;
+    const std::uint16_t count = page->ReadAt<std::uint16_t>(2);
     PageId next = kInvalidPageId;
-    for (const Entry& e : node.entries) {
+    for (std::uint16_t i = 0; i < count; ++i) {
+      const Entry e = EntryAt(*page, i);
       if (e.alive() && e.key_lo <= key && key < e.key_hi) {
         next = static_cast<PageId>(e.value);
         break;
@@ -132,10 +135,8 @@ Status Mvbt::FindLeafPath(Version v, Key key, std::vector<PageId>* path,
     if (next == kInvalidPageId) {
       return Status::Corruption("router gap: no live child covers key");
     }
-    page = next;
+    page_id = next;
   }
-  *leaf = std::move(node);
-  return Status::OK();
 }
 
 Status Mvbt::Insert(Version v, Key key, Value value) {
@@ -160,15 +161,29 @@ Status Mvbt::Insert(Version v, Key key, Value value) {
   }
 
   std::vector<PageId> path;
-  Node leaf;
-  TAR_RETURN_NOT_OK(FindLeafPath(v, key, &path, &leaf));
-  for (const Entry& e : leaf.entries) {
-    if (e.alive() && e.key_lo == key) {
+  TAR_ASSIGN_OR_RETURN(const Page* leaf, FindLeafPath(v, key, &path));
+  const std::uint16_t count = leaf->ReadAt<std::uint16_t>(2);
+  std::size_t live = 0;
+  for (std::uint16_t i = 0; i < count; ++i) {
+    const Entry e = EntryAt(*leaf, i);
+    if (!e.alive()) continue;
+    if (e.key_lo == key) {
       return Status::AlreadyExists("live key already present");
     }
+    ++live;
   }
-  leaf.entries.push_back(record);
-  return Restructure(v, path, path.size() - 1, std::move(leaf));
+  if (count + 1u <= capacity_ && KeepsWeakCondition(path, live + 1)) {
+    // What Restructure's Store of the grown leaf would change: the new
+    // entry at the end and the entry count.
+    TAR_ASSIGN_OR_RETURN(Page* page, file_->GetPageForWrite(path.back()));
+    PutEntry(page, count, record);
+    page->WriteAt<std::uint16_t>(2, static_cast<std::uint16_t>(count + 1));
+    return Status::OK();
+  }
+  Node node;
+  Decode(*leaf, &node);
+  node.entries.push_back(record);
+  return Restructure(v, path, path.size() - 1, std::move(node));
 }
 
 Status Mvbt::Erase(Version v, Key key) {
@@ -180,24 +195,38 @@ Status Mvbt::Erase(Version v, Key key) {
   }
   last_version_ = v;
   std::vector<PageId> path;
-  Node leaf;
-  TAR_RETURN_NOT_OK(FindLeafPath(v, key, &path, &leaf));
-  bool found = false;
-  for (std::size_t i = 0; i < leaf.entries.size(); ++i) {
-    Entry& e = leaf.entries[i];
-    if (e.alive() && e.key_lo == key) {
-      if (e.v_start == v) {
-        // Inserted and deleted at the same version: never visible.
-        leaf.entries.erase(leaf.entries.begin() + i);
-      } else {
-        e.v_end = v;
-      }
-      found = true;
-      break;
+  TAR_ASSIGN_OR_RETURN(const Page* leaf, FindLeafPath(v, key, &path));
+  const std::uint16_t count = leaf->ReadAt<std::uint16_t>(2);
+  std::size_t live = 0;
+  std::size_t slot = count;
+  Entry erased;
+  for (std::uint16_t i = 0; i < count; ++i) {
+    const Entry e = EntryAt(*leaf, i);
+    if (!e.alive()) continue;
+    ++live;
+    if (slot == count && e.key_lo == key) {
+      slot = i;
+      erased = e;
     }
   }
-  if (!found) return Status::NotFound("key not alive");
-  return Restructure(v, path, path.size() - 1, std::move(leaf));
+  if (slot == count) return Status::NotFound("key not alive");
+  if (erased.v_start != v && KeepsWeakCondition(path, live - 1)) {
+    // What Restructure's Store of the leaf would change: the entry's end.
+    TAR_ASSIGN_OR_RETURN(Page* page, file_->GetPageForWrite(path.back()));
+    erased.v_end = v;
+    PutEntry(page, slot, erased);
+    return Status::OK();
+  }
+  Node node;
+  Decode(*leaf, &node);
+  if (erased.v_start == v) {
+    // Inserted and deleted at the same version: never visible.
+    node.entries.erase(node.entries.begin() +
+                       static_cast<std::ptrdiff_t>(slot));
+  } else {
+    node.entries[slot].v_end = v;
+  }
+  return Restructure(v, path, path.size() - 1, std::move(node));
 }
 
 Status Mvbt::Restructure(Version v, const std::vector<PageId>& path,

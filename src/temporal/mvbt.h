@@ -62,10 +62,18 @@ struct NodeLayout {
 /// \brief The multiversion B-tree.
 ///
 /// Query methods (Lookup, Scan and the scans built on it) read entries
-/// directly off the pages the buffer pool returns; only updates
-/// materialize nodes. Scan hands each in-range record to a visitor while
-/// it walks the pages, so a caller that only folds the records (counts
-/// them, sums them) allocates nothing and sorts nothing.
+/// directly off the pages the buffer pool returns; only structural
+/// updates materialize nodes. Scan hands each in-range record to a
+/// visitor while it walks the pages, so a caller that only folds the
+/// records (counts them, sums them) allocates nothing and sorts nothing.
+///
+/// Insert and Erase descend reading the routers off the pages too. An
+/// insert or erase that keeps its leaf within capacity and the weak
+/// version condition writes its one entry in place (an insert also bumps
+/// the leaf's entry count): the same bytes, through the same physical
+/// reads and write, that storing the whole re-encoded leaf would cost.
+/// Only a version split, merge or key split — or an erase at the version
+/// the record was born, which removes the entry — decodes nodes.
 ///
 /// Thread safety: const query methods (Lookup, Scan, RangeScan*) are safe
 /// concurrently — page access goes through the latched buffer pool;
@@ -157,13 +165,19 @@ class Mvbt {
     std::vector<Entry> new_entries;
   };
 
+  /// The entry codec: every read of a node entry (queries, LoadForUpdate,
+  /// the in-place updates) goes through EntryAt, every write (Store, the
+  /// in-place updates) through PutEntry.
+  static Entry EntryAt(const Page& page, std::size_t index);
+  static void PutEntry(Page* page, std::size_t index, const Entry& e);
+
+  static void Decode(const Page& page, Node* node);
   Status LoadForUpdate(PageId id, Node* node) const;
 
   /// Query-path page access through the buffer pool; hits are recorded as
   /// free, misses as TIA page reads. Queries read entries directly off the
   /// returned page (EntryAt) — no node materialization.
   Result<const Page*> FetchForQuery(PageId id, AccessStats* stats) const;
-  static Entry EntryAt(const Page& page, std::size_t index);
 
   Status Store(PageId id, const Node& node);
   PageId AllocateNode(const Node& node, Status* st);
@@ -171,10 +185,18 @@ class Mvbt {
   /// Root page alive at version v, or nullopt for an empty tree at v.
   std::optional<RootEntry> RootAt(Version v) const;
 
-  /// Descends from the live root to the leaf responsible for `key`,
-  /// recording the page path (root first).
-  Status FindLeafPath(Version v, Key key, std::vector<PageId>* path,
-                      Node* leaf) const;
+  /// Descends from the live root to the leaf responsible for `key` with
+  /// one physical read per level, recording the page path (root first).
+  /// Returns the leaf's page.
+  Result<const Page*> FindLeafPath(Version v, Key key,
+                                   std::vector<PageId>* path) const;
+
+  /// Whether a node on `path`'s last level with `live` live entries meets
+  /// the weak version condition (a root always does).
+  bool KeepsWeakCondition(const std::vector<PageId>& path,
+                          std::size_t live) const {
+    return path.size() == 1 || live >= min_live_;
+  }
 
   /// Restores structural invariants of the node at path[level] after a
   /// mutation, propagating structural changes toward the root.

@@ -170,6 +170,23 @@ TEST(StructureVerifierTest, BufferPoolConcurrencyCheckAfterThreadedRun) {
   EXPECT_TRUE(st.IsCorruption());
 }
 
+// hits + misses counts the fetches that returned a page: a miss whose
+// read failed charges no physical read, so it is no miss either.
+TEST(StructureVerifierTest, BufferPoolConcurrencyCheckAfterAFailedRead) {
+  PageFile file(512);
+  BufferPool pool(&file, 4);
+  const PageId id = file.Allocate().ValueOrDie();
+  fail::FaultInjector& injector = fail::FaultInjector::Global();
+  ASSERT_TRUE(injector.Configure("page_file.read=err").ok());
+  EXPECT_TRUE(pool.Fetch(1, id).status().IsIoError());
+  injector.Clear();
+  ASSERT_TRUE(pool.Fetch(1, id).ok());
+
+  analysis::StructureVerifier verifier;
+  const Status st = verifier.VerifyBufferPoolConcurrency(pool, 1);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
 class TarTreeVerifyTest : public ::testing::TestWithParam<GroupingStrategy> {};
 
 TEST_P(TarTreeVerifyTest, FreshTarTreePasses) {

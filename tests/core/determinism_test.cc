@@ -14,11 +14,15 @@
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "core/sharded_store.h"
 #include "core/tar_tree.h"
+#include "temporal/mvbt.h"
 
 namespace tar {
 namespace {
@@ -188,6 +192,113 @@ TEST(DeterminismTest, ShardedForestAccessCountsArePinned) {
     EXPECT_EQ(stats.tia_page_reads, pin.tia_page_reads);
     EXPECT_EQ(stats.tia_buffer_hits, pin.tia_buffer_hits);
   }
+}
+
+/// What the update paths left on the simulated disk: the page count, the
+/// physical I/O and pool traffic that produced it, and an FNV-1a hash of
+/// every page's bytes in page-id order.
+struct PageImage {
+  std::size_t pages;
+  std::uint64_t physical_reads;
+  std::uint64_t physical_writes;
+  std::uint64_t pool_hits;
+  std::uint64_t pool_misses;
+  std::uint64_t hash;
+};
+
+PageImage TakePageImage(BufferPool* pool) {
+  PageFile* file = pool->file();
+  // Hashing reads every page, so the counters are taken first.
+  PageImage image{file->num_pages(),       file->physical_reads(),
+                  file->physical_writes(), pool->hits(),
+                  pool->misses(),          14695981039346656037ull};
+  for (PageId id = 0; id < image.pages; ++id) {
+    auto page = file->ReadPage(id);
+    EXPECT_TRUE(page.ok()) << "page " << id;
+    if (!page.ok()) break;
+    const std::uint8_t* bytes = page.ValueOrDie()->data();
+    for (std::size_t i = 0; i < file->page_size(); ++i) {
+      image.hash = (image.hash ^ bytes[i]) * 1099511628211ull;
+    }
+  }
+  return image;
+}
+
+void ExpectPageImage(const PageImage& got, const PageImage& want) {
+  EXPECT_EQ(got.pages, want.pages);
+  EXPECT_EQ(got.physical_reads, want.physical_reads);
+  EXPECT_EQ(got.physical_writes, want.physical_writes);
+  EXPECT_EQ(got.pool_hits, want.pool_hits);
+  EXPECT_EQ(got.pool_misses, want.pool_misses);
+  EXPECT_EQ(got.hash, want.hash) << std::hex << "got 0x" << got.hash;
+}
+
+// The page images the update paths write are part of the cost model too:
+// a faster insert or erase must store the same bytes at the same page ids
+// through the same physical reads and writes, and RaiseTo's lookups must
+// take the same pool decisions. Four epoch batches after the fixture's 24.
+TEST(DeterminismTest, EpochAppendPageImagesArePinned) {
+  TarTree tree(FixtureOptions());
+  BuildFixture(&tree);
+  for (std::int64_t epoch = 24; epoch < 28; ++epoch) {
+    std::unordered_map<PoiId, std::int64_t> aggs;
+    for (std::uint32_t poi = 0; poi < 240; ++poi) {
+      const std::uint32_t h = Mix(poi * 97 + static_cast<std::uint32_t>(epoch));
+      if (h % 3 != 0) aggs[static_cast<PoiId>(poi)] = h % 40 + 1;
+    }
+    ASSERT_TRUE(tree.AppendEpoch(epoch, aggs).ok()) << "epoch " << epoch;
+  }
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  ExpectPageImage(TakePageImage(tree.tia_buffer_pool()),
+                  {310, 5275, 5217, 14898, 310, 0x4c2d5db7a9401a80ull});
+}
+
+// The same pins for one MVBT under the MvbtPropertyTest churn shape —
+// 2,500 operations, 60% inserts of fresh keys in [0, 4000], the rest
+// erases of a random live key, the version advancing by 1–3 before 40% of
+// them, on 512-byte pages — so erases reach the weak-underflow, merge and
+// erased-at-birth paths as well as the in-place ones. Each operation's
+// draws come from one splitmix64 hash of its index rather than from
+// <random> distributions, so the pins hold across standard libraries.
+// Query reads after the churn pin the pool's decisions over the pages.
+TEST(DeterminismTest, MvbtChurnPageImagesArePinned) {
+  auto hash = [](std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  };
+  PageFile file(512);
+  BufferPool pool(&file, 10);
+  mvbt::Mvbt tree(&file, &pool, /*owner=*/1);
+  std::map<mvbt::Key, mvbt::Value> live;
+  mvbt::Version v = 0;
+  for (std::uint64_t i = 0; i < 2500; ++i) {
+    const std::uint64_t h = hash(i);
+    if (h % 100 < 40) v += 1 + static_cast<mvbt::Version>((h >> 8) % 3);
+    if (live.empty() || (h >> 16) % 100 < 60) {
+      const auto key = static_cast<mvbt::Key>((h >> 24) % 4001);
+      if (live.count(key) != 0) continue;
+      const auto value = static_cast<mvbt::Value>(h >> 44);
+      ASSERT_TRUE(tree.Insert(v, key, value).ok()) << "op " << i;
+      live[key] = value;
+    } else {
+      auto it = live.begin();
+      std::advance(it, (h >> 24) % live.size());
+      ASSERT_TRUE(tree.Erase(v, it->first).ok()) << "op " << i;
+      live.erase(it);
+    }
+  }
+  ASSERT_TRUE(tree.CheckInvariants().ok());
+  for (mvbt::Version q : {v / 4, v / 2, v}) {
+    std::vector<std::pair<mvbt::Key, mvbt::Value>> out;
+    for (int pass = 0; pass < 2; ++pass) {
+      ASSERT_TRUE(tree.RangeScan(q, 1000, 1200, &out).ok());
+      ASSERT_TRUE(tree.Lookup(q, 2024).ok());
+    }
+  }
+  ExpectPageImage(TakePageImage(&pool),
+                  {347, 7650, 3030, 30, 20, 0x9f6b72a5a245ed1eull});
 }
 
 }  // namespace

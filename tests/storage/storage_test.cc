@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/failpoint.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_file.h"
@@ -35,10 +38,55 @@ TEST(PageFileTest, FreshPagesAreZeroed) {
   }
 }
 
+// Pages come from shared blocks whose bytes are not zeroed up front, so
+// a fresh page must read as zero even where the allocator hands back
+// memory an earlier file filled, and every page must keep its address
+// while the file grows by whole blocks.
+TEST(PageFileTest, PagesAcrossBlocksStartZeroedAndStayPut) {
+  const std::size_t n = 3 * PageFile::kPagesPerBlock + 1;
+  for (int round = 0; round < 2; ++round) {
+    PageFile file(128);
+    std::vector<const Page*> pages;
+    for (std::size_t i = 0; i < n; ++i) {
+      const PageId id = file.Allocate().ValueOrDie();
+      Page* page = file.GetPageForWrite(id).ValueOrDie();
+      for (std::size_t b = 0; b < page->size(); ++b) {
+        ASSERT_EQ(page->data()[b], 0) << "page " << id << " byte " << b;
+      }
+      std::memset(page->data(), 0xAB, page->size());
+      pages.push_back(page);
+    }
+    for (PageId id = 0; id < n; ++id) {
+      const Page* page = file.ReadPage(id).ValueOrDie();
+      EXPECT_EQ(page, pages[id]);
+      EXPECT_EQ(page->ReadAt<std::uint8_t>(0), 0xAB);
+      EXPECT_EQ(page->ReadAt<std::uint8_t>(page->size() - 1), 0xAB);
+    }
+  }
+}
+
 TEST(PageFileTest, OutOfRangeAccessFails) {
   PageFile file(128);
   EXPECT_TRUE(file.ReadPage(3).status().IsOutOfRange());
   EXPECT_TRUE(file.GetPageForWrite(3).status().IsOutOfRange());
+}
+
+// Pages share their block's allocation, so an access past a page's end
+// lands in the next page rather than in an allocator redzone; the bounds
+// TAR_DCHECK in Page::ReadAt/WriteAt is what stops it in checked builds.
+TEST(PageDeathTest, AccessPastThePageEndDies) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the page bounds TAR_DCHECK is compiled out under NDEBUG";
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  PageFile file(128);
+  ASSERT_TRUE(file.Allocate().ok());
+  ASSERT_TRUE(file.Allocate().ok());
+  Page* page = file.GetPageForWrite(0).ValueOrDie();
+  EXPECT_EQ(page->ReadAt<std::uint64_t>(120), 0u);
+  EXPECT_DEATH((void)page->ReadAt<std::uint64_t>(124), "TAR_DCHECK");
+  EXPECT_DEATH(page->WriteAt<std::uint32_t>(128, 1), "TAR_DCHECK");
+#endif
 }
 
 TEST(BufferPoolTest, HitsAreFreeMissesCostAPhysicalRead) {
@@ -172,7 +220,7 @@ TEST(BufferPoolTest, FailedReadLeavesThePageNonResident) {
   ASSERT_TRUE(pool.Fetch(2, a, &hit).ok());
   EXPECT_FALSE(hit) << "a failed write-through must not cache the page";
   EXPECT_EQ(pool.hits(), 0u);
-  EXPECT_EQ(pool.misses(), 3u);
+  EXPECT_EQ(pool.misses(), 2u) << "the failed read is no miss";
   EXPECT_EQ(file.physical_reads(), 2u);
 }
 

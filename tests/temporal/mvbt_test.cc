@@ -1,10 +1,13 @@
 #include "temporal/mvbt.h"
 
+#include <functional>
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "common/random.h"
 
 namespace tar::mvbt {
@@ -127,6 +130,60 @@ TEST(MvbtTest, QueryReadsGoThroughBufferPool) {
   EXPECT_GT(cold.tia_page_reads, 0u);
   EXPECT_GT(warm.tia_buffer_hits, 0u);
   EXPECT_LT(warm.tia_page_reads, cold.tia_page_reads + 1);
+}
+
+/// Every page's bytes, in page-id order.
+std::vector<std::vector<std::uint8_t>> PageBytes(PageFile* file) {
+  std::vector<std::vector<std::uint8_t>> pages;
+  for (PageId id = 0; id < file->num_pages(); ++id) {
+    const Page* page = file->ReadPage(id).ValueOrDie();
+    pages.emplace_back(page->data(), page->data() + page->size());
+  }
+  return pages;
+}
+
+// An insert or erase that keeps its leaf within capacity and the weak
+// version condition writes one entry in place. A fault on the leaf's read
+// or on that write fails the update with every page as it was, and the
+// same call then succeeds, through one physical write and no new page.
+TEST(MvbtTest, InPlaceUpdatesAreAtomicUnderIoFaults) {
+  Fixture fx(512, 10);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(fx.tree.Insert(1, i * 10, i).ok());
+  }
+  // The descent reads one page per level; the leaf's read is the last.
+  fx.pool.Clear();
+  AccessStats probe;
+  ASSERT_TRUE(fx.tree.Lookup(1, 0, &probe).ok());
+  const std::string leaf_read =
+      "page_file.read=err@" + std::to_string(probe.tia_page_reads);
+  ASSERT_GE(probe.tia_page_reads, 2u) << "the leaf must not be the root";
+
+  fail::FaultInjector& injector = fail::FaultInjector::Global();
+  auto expect_atomic = [&](const std::function<Status()>& update) {
+    for (const std::string& spec : {std::string("page_file.write=err"),
+                                    leaf_read}) {
+      SCOPED_TRACE(spec);
+      const auto before = PageBytes(&fx.file);
+      ASSERT_TRUE(injector.Configure(spec).ok());
+      const Status st = update();
+      injector.Clear();
+      EXPECT_TRUE(st.IsIoError()) << st.ToString();
+      EXPECT_EQ(PageBytes(&fx.file), before);
+    }
+    const std::size_t pages = fx.file.num_pages();
+    const std::uint64_t writes = fx.file.physical_writes();
+    ASSERT_TRUE(update().ok());
+    EXPECT_EQ(fx.file.num_pages(), pages);
+    EXPECT_EQ(fx.file.physical_writes(), writes + 1);
+  };
+
+  expect_atomic([&] { return fx.tree.Insert(2, 5, 99); });
+  EXPECT_EQ(*fx.tree.Lookup(2, 5).ValueOrDie(), 99);
+  expect_atomic([&] { return fx.tree.Erase(3, 10); });
+  EXPECT_EQ(*fx.tree.Lookup(2, 10).ValueOrDie(), 1);
+  EXPECT_FALSE(fx.tree.Lookup(3, 10).ValueOrDie().has_value());
+  EXPECT_TRUE(fx.tree.CheckInvariants().ok());
 }
 
 // ---------------------------------------------------------------------------
