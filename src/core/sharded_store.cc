@@ -1,6 +1,7 @@
 #include "core/sharded_store.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -47,6 +48,27 @@ void CountQuarantine() {
         MetricsRegistry::Global().GetCounter("sharded_store.quarantines");
     metric->Increment();
   }
+}
+
+/// Runs body(k) for every k in [0, n). The calling thread and up to
+/// min(n, CPUs) - 1 helper threads claim indices from one atomic counter,
+/// as RunParallelQueries' workers do; n == 1 runs inline and starts no
+/// thread. Every call to body has returned when this returns.
+template <typename Body>
+void ParallelFor(std::size_t n, const Body& body) {
+  std::atomic<std::size_t> next{0};
+  auto worker = [&]() {
+    for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed); k < n;
+         k = next.fetch_add(1, std::memory_order_relaxed)) {
+      body(k);
+    }
+  };
+  const std::size_t threads = std::min<std::size_t>(
+      n, std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<std::thread> helpers;
+  for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(worker);
+  worker();
+  for (std::thread& t : helpers) t.join();
 }
 
 void CountRepair(bool ok) {
@@ -371,21 +393,30 @@ Status ShardedStore::AppendEpoch(
         DeferEpochLocked(i, epoch, split[i])
             .WithContext("sharded store: deferring epoch to down shard"));
   }
-  // Phase 1 — stage on every covered touched shard: prevalidate, log,
-  // apply to the invisible standby. Slow (WAL sync, reader drain), but
-  // readers keep reading the published versions and the cut stays
-  // stable. A shard that fails to stage (after bounded transient
-  // retries) is quarantined with the root cause and its sub-batch
-  // deferred; the rest of the batch proceeds.
-  std::vector<std::size_t> staged;
+  // Phase 1 — stage every covered touched shard, all at once: prevalidate,
+  // log, apply to the invisible standby. Slow (WAL sync, reader drain),
+  // but readers keep reading the published versions and the cut stays
+  // stable. Each shard's step touches only its own store, so the shards
+  // stage concurrently and no store latch is taken for them. After the
+  // join, in shard-index order, a shard that failed to stage (after
+  // bounded transient retries) is quarantined with the root cause and
+  // its sub-batch deferred; the rest of the batch proceeds.
+  std::vector<std::size_t> touched;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (split[i].empty() || covered[i] == 0) continue;
-    const Status st = StageWithRetry(i, epoch, split[i]);
-    if (st.ok()) {
+    if (!split[i].empty() && covered[i] != 0) touched.push_back(i);
+  }
+  std::vector<Status> stage(touched.size());
+  ParallelFor(touched.size(), [&](std::size_t k) {
+    stage[k] = StageWithRetry(touched[k], epoch, split[touched[k]]);
+  });
+  std::vector<std::size_t> staged;
+  for (std::size_t k = 0; k < touched.size(); ++k) {
+    const std::size_t i = touched[k];
+    if (stage[k].ok()) {
       staged.push_back(i);
       continue;
     }
-    QuarantineShard(i, st, /*permanent=*/false);
+    QuarantineShard(i, stage[k], /*permanent=*/false);
     const Status defer = DeferEpochLocked(i, epoch, split[i]);
     if (!defer.ok()) {
       // The sub-batch is lost in process: the shard must never be
@@ -411,20 +442,22 @@ Status ShardedStore::AppendEpoch(
     }
     apply_seq_.fetch_add(1, std::memory_order_release);  // cut stable again
   }
-  // Phase 3 — catch the retired replicas up. Readers are already on the
-  // new cut; the epoch is fully published, so a failure here kills only
-  // the diverged shard: its WAL holds the epoch durably (no deferral
-  // needed) and repair re-opens it from snapshot + log.
-  for (std::size_t i : staged) {
-    Status cst;
-    {
-      fail::ScopedShard scope(static_cast<int>(i));
-      cst = shards_[i]->CatchUpStaged();
-    }
-    if (!cst.ok()) {
-      QuarantineShard(
-          i, cst.WithContext("sharded store: shard diverged after publish"),
-          /*permanent=*/false);
+  // Phase 3 — catch the retired replicas up, again all staged shards at
+  // once. Readers are already on the new cut; the epoch is fully
+  // published, so a failure here kills only the diverged shard: its WAL
+  // holds the epoch durably (no deferral needed) and repair re-opens it
+  // from snapshot + log. Quarantines follow the join in index order.
+  std::vector<Status> caught_up(staged.size());
+  ParallelFor(staged.size(), [&](std::size_t k) {
+    fail::ScopedShard scope(static_cast<int>(staged[k]));
+    caught_up[k] = shards_[staged[k]]->CatchUpStaged();
+  });
+  for (std::size_t k = 0; k < staged.size(); ++k) {
+    if (!caught_up[k].ok()) {
+      QuarantineShard(staged[k],
+                      caught_up[k].WithContext(
+                          "sharded store: shard diverged after publish"),
+                      /*permanent=*/false);
     }
   }
   return Status::OK();

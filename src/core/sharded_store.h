@@ -168,6 +168,9 @@ class ShardedStore {
 
   /// Splits the epoch batch by shard and applies each sub-batch. The
   /// whole batch is validated up front so a bad batch mutates nothing.
+  /// The touched shards stage, and later catch up, concurrently: the
+  /// calling thread and up to min(touched shards, CPUs) - 1 helper
+  /// threads, none for a batch that touches one shard.
   ///
   /// Fault containment: sub-batches for quarantined shards are deferred
   /// into their redo buffers (journaled on durable stores) and the call
@@ -328,10 +331,12 @@ class ShardedStore {
                       std::vector<std::size_t>* missing) const;
 
   /// StageEpoch on shard i with bounded in-place retries of transient
-  /// failures (per options_.fault).
+  /// failures (per options_.fault). Touches only shards_[i] and the
+  /// immutable options, so it takes no store latch: AppendEpoch runs it
+  /// for several shards at once, from helper threads that cannot hold
+  /// writer_mu_ (the batch holds it on the calling thread throughout).
   Status StageWithRetry(std::size_t i, std::int64_t epoch,
-                        const std::unordered_map<PoiId, std::int64_t>& aggs)
-      TAR_REQUIRES(writer_mu_);
+                        const std::unordered_map<PoiId, std::int64_t>& aggs);
 
   /// Defers a sub-batch into shard i's redo buffer + journal.
   Status DeferEpochLocked(std::size_t i, std::int64_t epoch,

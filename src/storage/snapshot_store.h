@@ -215,6 +215,11 @@ class SnapshotStore {
   /// LSN of the last mutation applied to the live replica.
   Lsn applied_lsn() const;
 
+  /// Replica `slot` (0 or 1), unpinned: for inspecting both replicas of
+  /// a quiescent store (no mutation in flight, no snapshot held), as the
+  /// determinism tests do. Not a read path.
+  TarTree* replica(std::uint32_t slot) { return slots_[slot].tree.get(); }
+
  private:
   struct Slot {
     std::unique_ptr<TarTree> tree;

@@ -278,7 +278,14 @@ WalWriter::WalWriter(std::string path, const WalWriterOptions& options,
     : path_(std::move(path)),
       options_(options),
       last_lsn_(last_lsn),
-      last_synced_lsn_(last_lsn) {}
+      last_synced_lsn_(last_lsn) {
+  // Sized once, on the opening thread: a buffer that grew on whichever
+  // thread appends would land in that thread's malloc arena. A frame is
+  // buffered before the group-commit check, so the buffer peaks at the
+  // byte budget plus one frame; twice the budget holds any frame up to
+  // the budget itself without regrowing.
+  pending_.reserve(2 * options_.group_commit_bytes);
+}
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(
     const std::string& path, const WalWriterOptions& options,

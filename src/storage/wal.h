@@ -231,7 +231,7 @@ class WalWriter {
   std::ofstream out_ TAR_GUARDED_BY(mu_);
   /// Sticky error after a failed sync.
   Status dead_ TAR_GUARDED_BY(mu_) = Status::OK();
-  /// Encoded frames awaiting Sync.
+  /// Encoded frames awaiting Sync; reserved at the group-commit size.
   std::string pending_ TAR_GUARDED_BY(mu_);
   std::size_t pending_records_ TAR_GUARDED_BY(mu_) = 0;
   Lsn last_lsn_ TAR_GUARDED_BY(mu_) = 0;

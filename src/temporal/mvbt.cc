@@ -1,6 +1,7 @@
 #include "temporal/mvbt.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/check.h"
 
@@ -115,12 +116,17 @@ std::optional<Mvbt::RootEntry> Mvbt::RootAt(Version v) const {
 }
 
 Result<const Page*> Mvbt::FindLeafPath(Version v, Key key,
-                                       std::vector<PageId>* path) const {
+                                       Path* path) const {
   auto root = RootAt(v);
   if (!root.has_value()) return Status::NotFound("empty tree at version");
   PageId page_id = root->page;
   for (;;) {
-    path->push_back(page_id);
+    if (path->height == Path::kMaxHeight) {
+      return Status::Corruption("MVBT descent deeper than " +
+                                std::to_string(Path::kMaxHeight) +
+                                " levels: router cycle");
+    }
+    path->pages[path->height++] = page_id;
     TAR_ASSIGN_OR_RETURN(const Page* page, file_->ReadPage(page_id));
     if (page->ReadAt<std::uint8_t>(0) != 0) return page;
     const std::uint16_t count = page->ReadAt<std::uint16_t>(2);
@@ -160,7 +166,7 @@ Status Mvbt::Insert(Version v, Key key, Value value) {
     return Status::OK();
   }
 
-  std::vector<PageId> path;
+  Path path;
   TAR_ASSIGN_OR_RETURN(const Page* leaf, FindLeafPath(v, key, &path));
   const std::uint16_t count = leaf->ReadAt<std::uint16_t>(2);
   std::size_t live = 0;
@@ -175,7 +181,7 @@ Status Mvbt::Insert(Version v, Key key, Value value) {
   if (count + 1u <= capacity_ && KeepsWeakCondition(path, live + 1)) {
     // What Restructure's Store of the grown leaf would change: the new
     // entry at the end and the entry count.
-    TAR_ASSIGN_OR_RETURN(Page* page, file_->GetPageForWrite(path.back()));
+    TAR_ASSIGN_OR_RETURN(Page* page, file_->GetPageForWrite(path.leaf()));
     PutEntry(page, count, record);
     page->WriteAt<std::uint16_t>(2, static_cast<std::uint16_t>(count + 1));
     return Status::OK();
@@ -183,7 +189,7 @@ Status Mvbt::Insert(Version v, Key key, Value value) {
   Node node;
   Decode(*leaf, &node);
   node.entries.push_back(record);
-  return Restructure(v, path, path.size() - 1, std::move(node));
+  return Restructure(v, path, path.height - 1, std::move(node));
 }
 
 Status Mvbt::Erase(Version v, Key key) {
@@ -194,7 +200,7 @@ Status Mvbt::Erase(Version v, Key key) {
     return Status::NotFound("key not alive");
   }
   last_version_ = v;
-  std::vector<PageId> path;
+  Path path;
   TAR_ASSIGN_OR_RETURN(const Page* leaf, FindLeafPath(v, key, &path));
   const std::uint16_t count = leaf->ReadAt<std::uint16_t>(2);
   std::size_t live = 0;
@@ -212,7 +218,7 @@ Status Mvbt::Erase(Version v, Key key) {
   if (slot == count) return Status::NotFound("key not alive");
   if (erased.v_start != v && KeepsWeakCondition(path, live - 1)) {
     // What Restructure's Store of the leaf would change: the entry's end.
-    TAR_ASSIGN_OR_RETURN(Page* page, file_->GetPageForWrite(path.back()));
+    TAR_ASSIGN_OR_RETURN(Page* page, file_->GetPageForWrite(path.leaf()));
     erased.v_end = v;
     PutEntry(page, slot, erased);
     return Status::OK();
@@ -226,12 +232,12 @@ Status Mvbt::Erase(Version v, Key key) {
   } else {
     node.entries[slot].v_end = v;
   }
-  return Restructure(v, path, path.size() - 1, std::move(node));
+  return Restructure(v, path, path.height - 1, std::move(node));
 }
 
-Status Mvbt::Restructure(Version v, const std::vector<PageId>& path,
-                         std::size_t level, Node node) {
-  PageId page = path[level];
+Status Mvbt::Restructure(Version v, const Path& path, std::size_t level,
+                         Node node) {
+  PageId page = path.pages[level];
   bool is_root = (level == 0);
   std::size_t live = node.CountAliveEntries();
 
@@ -264,7 +270,7 @@ Status Mvbt::Restructure(Version v, const std::vector<PageId>& path,
   ParentOp op;
   if (!is_root) {
     Node parent;
-    TAR_RETURN_NOT_OK(LoadForUpdate(path[level - 1], &parent));
+    TAR_RETURN_NOT_OK(LoadForUpdate(path.pages[level - 1], &parent));
     TAR_RETURN_NOT_OK(VersionSplit(v, page, node, &parent, &op));
     // Apply the op to the parent: kill the replaced children, append the
     // new routers.

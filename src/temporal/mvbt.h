@@ -10,6 +10,7 @@
 // not charged to the node-access metric.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -158,6 +159,21 @@ class Mvbt {
     bool is_leaf;
   };
 
+  /// The root-to-leaf page path of an update (root first), held inline so
+  /// an update allocates nothing before it writes. At the current
+  /// version an internal root has at least 2 live children and every
+  /// other node at least min_live_ >= 2 live entries, so a tree
+  /// kMaxHeight levels deep holds at least 2^32 live records (160 GiB of
+  /// entries); FindLeafPath reports a deeper descent as Corruption (only
+  /// a router cycle gets there).
+  struct Path {
+    static constexpr std::size_t kMaxHeight = 32;
+    std::array<PageId, kMaxHeight> pages{};
+    std::size_t height = 0;
+
+    PageId leaf() const { return pages[height - 1]; }
+  };
+
   /// Pending update against a parent node: kill the live entries that point
   /// to `dead_children` at version v and append `new_entries`.
   struct ParentOp {
@@ -186,22 +202,20 @@ class Mvbt {
   std::optional<RootEntry> RootAt(Version v) const;
 
   /// Descends from the live root to the leaf responsible for `key` with
-  /// one physical read per level, recording the page path (root first).
-  /// Returns the leaf's page.
-  Result<const Page*> FindLeafPath(Version v, Key key,
-                                   std::vector<PageId>* path) const;
+  /// one physical read per level, recording the page path in `*path`
+  /// (which must be empty). Returns the leaf's page.
+  Result<const Page*> FindLeafPath(Version v, Key key, Path* path) const;
 
   /// Whether a node on `path`'s last level with `live` live entries meets
   /// the weak version condition (a root always does).
-  bool KeepsWeakCondition(const std::vector<PageId>& path,
-                          std::size_t live) const {
-    return path.size() == 1 || live >= min_live_;
+  bool KeepsWeakCondition(const Path& path, std::size_t live) const {
+    return path.height == 1 || live >= min_live_;
   }
 
-  /// Restores structural invariants of the node at path[level] after a
-  /// mutation, propagating structural changes toward the root.
-  Status Restructure(Version v, const std::vector<PageId>& path,
-                     std::size_t level, Node node);
+  /// Restores structural invariants of the node at path.pages[level]
+  /// after a mutation, propagating structural changes toward the root.
+  Status Restructure(Version v, const Path& path, std::size_t level,
+                     Node node);
 
   /// Version-split `node` (page `page_id`): copies the live entries into a
   /// fresh node (possibly merging a sibling found in `parent`, possibly key

@@ -253,6 +253,75 @@ TEST(DeterminismTest, EpochAppendPageImagesArePinned) {
                   {310, 5275, 5217, 14898, 310, 0x4c2d5db7a9401a80ull});
 }
 
+// A sharded store stages and catches up the shards of a batch on
+// separate threads, but each shard's two trees must see the same
+// operations in the same order as when the shards applied one after
+// another: per shard and replica, the page image after the fixture and
+// five cross-shard batches, with every value taken from a sequential
+// apply.
+TEST(DeterminismTest, ShardedAppendPageImagesArePinned) {
+  struct Pinned {
+    std::size_t shards;
+    std::size_t shard;
+    PageImage image;
+  };
+  const std::vector<Pinned> pinned = {
+      {4, 0, {81, 1513, 1481, 2605, 79, 0xa0ebe4127732d68aull}},
+      {4, 1, {80, 1461, 1422, 2588, 78, 0x34470bb0fca47414ull}},
+      {4, 2, {75, 1381, 1349, 2285, 73, 0x8c76de73ec11ec88ull}},
+      {4, 3, {65, 1212, 1178, 1847, 63, 0x050801113e39f9baull}},
+      {16, 0, {23, 444, 420, 461, 22, 0xade03a338b21d930ull}},
+      {16, 1, {21, 429, 400, 463, 20, 0xa93fb0cc59afb683ull}},
+      {16, 2, {25, 491, 464, 529, 24, 0x4750af8e528fdbc8ull}},
+      {16, 3, {17, 349, 322, 339, 16, 0x5afb7f60723e1b5cull}},
+      {16, 4, {22, 426, 407, 452, 21, 0x36081162791f44ebull}},
+      {16, 5, {24, 450, 433, 485, 23, 0x46750008b343ac22ull}},
+      {16, 6, {25, 477, 447, 490, 23, 0x795c59f246dba617ull}},
+      {16, 7, {17, 338, 315, 324, 16, 0xf2d618b4b39c7337ull}},
+      {16, 8, {22, 419, 399, 432, 21, 0xab14e0893e42b424ull}},
+      {16, 9, {24, 485, 454, 548, 23, 0x0093389bb55d40f5ull}},
+      {16, 10, {23, 445, 423, 474, 22, 0xd888a26986d409edull}},
+      {16, 11, {17, 351, 322, 334, 16, 0x07222d4576dafa63ull}},
+      {16, 12, {18, 330, 315, 301, 17, 0xf26422d7c07fd643ull}},
+      {16, 13, {20, 378, 356, 348, 19, 0x1dfa19cdb2c5cebcull}},
+      {16, 14, {18, 366, 339, 362, 17, 0x7b500d1948c666c6ull}},
+      {16, 15, {15, 271, 258, 215, 14, 0x43c3af3c15952e2cull}},
+  };
+  std::size_t checked = 0;
+  for (std::size_t shards : {std::size_t{4}, std::size_t{16}}) {
+    ShardedStoreOptions so;
+    so.num_shards = shards;
+    so.tree = FixtureOptions();
+    auto opened = ShardedStore::Open(so);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    std::unique_ptr<ShardedStore> store = std::move(opened).ValueOrDie();
+    ForEachFixturePoi([&](const Poi& poi, const std::vector<std::int32_t>& h) {
+      ASSERT_TRUE(store->InsertPoi(poi, h).ok());
+    });
+    for (std::int64_t epoch = 24; epoch < 29; ++epoch) {
+      std::unordered_map<PoiId, std::int64_t> aggs;
+      for (std::uint32_t poi = 0; poi < 240; ++poi) {
+        const std::uint32_t h =
+            Mix(poi * 89 + static_cast<std::uint32_t>(epoch) * 7);
+        if (h % 4 != 0) aggs[static_cast<PoiId>(poi)] = h % 50 + 1;
+      }
+      ASSERT_TRUE(store->AppendEpoch(epoch, aggs).ok()) << "epoch " << epoch;
+    }
+    for (const Pinned& pin : pinned) {
+      if (pin.shards != shards) continue;
+      for (std::uint32_t slot = 0; slot < 2; ++slot) {
+        SCOPED_TRACE("shards " + std::to_string(shards) + ", shard " +
+                     std::to_string(pin.shard) + ", replica " +
+                     std::to_string(slot));
+        TarTree* tree = store->shard(pin.shard)->replica(slot);
+        ExpectPageImage(TakePageImage(tree->tia_buffer_pool()), pin.image);
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 20u);
+}
+
 // The same pins for one MVBT under the MvbtPropertyTest churn shape —
 // 2,500 operations, 60% inserts of fresh keys in [0, 4000], the rest
 // erases of a random live key, the version advancing by 1–3 before 40% of

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <thread>
 
@@ -436,14 +437,141 @@ TEST(ShardedStoreTest, TransientStageFailureIsAbsorbedByRetry) {
   std::unordered_map<PoiId, std::int64_t> batch;
   for (const Poi& p : f.pois) batch[p.id] = p.id % 7 + 1;
 
-  // Fires on exactly the second wal.append hit: the second touched
-  // shard's first stage attempt fails, its retry succeeds.
+  // Fires on exactly the second wal.append hit. The touched shards stage
+  // concurrently, so which shard takes that hit varies from run to run;
+  // that shard's first stage attempt fails and its retry succeeds.
   ASSERT_TRUE(injector.Configure("wal.append=err@2").ok());
   EXPECT_TRUE(store->AppendEpoch(6, batch).ok());
   injector.Clear();
   EXPECT_TRUE(store->AllHealthy());
   EXPECT_EQ(store->fault_stats().quarantines, 0u);
   RemoveShardFiles(prefix, store->num_shards());
+}
+
+/// FNV-1a over a file's bytes (the offset basis for a missing file).
+std::uint64_t FileHash(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::uint64_t hash = 14695981039346656037ull;
+  for (char c; in.get(c);) {
+    hash = (hash ^ static_cast<std::uint8_t>(c)) * 1099511628211ull;
+  }
+  return hash;
+}
+
+/// What a batch applied under injected faults left behind: the fault
+/// counters' JSON and the FileHash of shards 1 and 2's redo journals.
+struct FailedBatch {
+  std::string fault_json;
+  std::uint64_t redo1 = 0;
+  std::uint64_t redo2 = 0;
+};
+
+/// Opens a durable 4-shard store over the fixture and applies epoch 6
+/// with `spec` armed; shards 0 and 3 must stay healthy.
+FailedBatch ApplyBatchUnderFaults(const std::string& name,
+                                  const std::string& spec) {
+  fail::FaultInjector& injector = fail::FaultInjector::Global();
+  injector.Clear();
+  const std::string prefix = ::testing::TempDir() + "/" + name;
+  RemoveShardFiles(prefix, 4);
+  std::unique_ptr<ShardedStore> store = OpenDurableStore(prefix, 4);
+  FailedBatch out;
+  if (store == nullptr) return out;
+  const Fixture f = MakeFixture();
+  for (std::size_t i = 0; i < f.pois.size(); ++i) {
+    EXPECT_TRUE(store->InsertPoi(f.pois[i], f.histories[i]).ok());
+  }
+  std::unordered_map<PoiId, std::int64_t> batch;
+  for (const Poi& p : f.pois) batch[p.id] = p.id % 7 + 1;
+  EXPECT_TRUE(injector.Configure(spec).ok());
+  EXPECT_TRUE(store->AppendEpoch(6, batch).ok());
+  injector.Clear();
+  for (std::size_t i : {0u, 3u}) {
+    EXPECT_EQ(store->shard_health(i), ShardHealth::kHealthy) << "shard " << i;
+  }
+  out.fault_json = store->fault_stats().ToJson();
+  out.redo1 = FileHash(prefix + ".shard1.redo");
+  out.redo2 = FileHash(prefix + ".shard2.redo");
+  store.reset();
+  RemoveShardFiles(prefix, 4);
+  return out;
+}
+
+// Two shards fail in the same batch. The shards stage concurrently, but
+// quarantine and deferral follow the join in shard-index order, so the
+// causes, the redo journals and the fault counters are exactly those of
+// a one-shard-at-a-time apply, where every value below was taken. Once
+// with torn WAL syncs (the WAL dies), once with failing page fetches
+// (the standby replica dies).
+TEST(ShardedStoreTest, TwoShardsFailingInOneBatchAreQuarantinedInIndexOrder) {
+  struct Case {
+    std::string spec;
+    std::string fault_json;
+    std::uint64_t redo1;
+    std::uint64_t redo2;
+  };
+  // Shards 0 and 3 healthy, 1 and 2 quarantined with one deferred epoch.
+  const std::string healthy =
+      "\"health\":\"healthy\",\"quarantines\":0,\"repairs\":0,"
+      "\"repair_failures\":0,\"redo_backlog\":0}";
+  const std::string deferred =
+      "\"health\":\"quarantined\",\"quarantines\":1,\"repairs\":0,"
+      "\"repair_failures\":0,\"redo_backlog\":1,\"cause\":\"IoError: ";
+  const std::string totals =
+      "\"quarantines\":2,\"repairs\":0,\"repair_failures\":0,"
+      "\"epochs_deferred\":2,\"read_retries\":0,\"repair_latency\":{"
+      "\"count\":0,\"mean_us\":0.000,\"min_us\":0.000,\"p50_us\":0.000,"
+      "\"p95_us\":0.000,\"p99_us\":0.000,\"max_us\":0.000}}";
+  auto fault_json = [&](const std::string& cause1, const std::string& cause2) {
+    return "{\"shards\":[{\"shard\":0," + healthy + ",{\"shard\":1," +
+           deferred + cause1 + "\"},{\"shard\":2," + deferred + cause2 +
+           "\"},{\"shard\":3," + healthy + "]," + totals;
+  };
+  const std::string torn = "injected torn write at failpoint wal.torn ";
+  const std::string apply =
+      "snapshot store: standby apply failed: replaying WAL AppendEpoch "
+      "record at lsn ";
+  const std::string fetch =
+      ": injected I/O error at failpoint buffer_pool.fetch";
+  const Case cases[] = {
+      {"wal.torn=torn@shard:1;wal.torn=torn@shard:2",
+       fault_json(torn + "(persisted 50 of 204 batch bytes)",
+                  torn + "(persisted 2 of 192 batch bytes)"),
+       0xd9e30c3f87ee96bfull, 0x4321f14916bb8cceull},
+      {"buffer_pool.fetch=err@shard:1;buffer_pool.fetch=err@shard:2",
+       fault_json(apply + "15" + fetch, apply + "14" + fetch),
+       0xd9e30c3f87ee96bfull, 0x4321f14916bb8cceull},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.spec);
+    const FailedBatch got = ApplyBatchUnderFaults("sharded_two_fail", c.spec);
+    EXPECT_EQ(got.fault_json, c.fault_json);
+    EXPECT_EQ(got.redo1, c.redo1) << std::hex << "got 0x" << got.redo1;
+    EXPECT_EQ(got.redo2, c.redo2) << std::hex << "got 0x" << got.redo2;
+  }
+}
+
+// The deferrals of a batch's failed stages run after every stage, in
+// shard-index order: with both shards' WALs torn, the four stage attempts
+// take the first four wal.append hits, so the fifth is shard 1's redo
+// journal append, never shard 2's. That deferral fails, which makes shard
+// 1 unrepairable; shard 2 defers normally.
+TEST(ShardedStoreTest, DeferralsFollowEveryStageInShardIndexOrder) {
+  const FailedBatch got = ApplyBatchUnderFaults(
+      "sharded_defer_order",
+      "wal.torn=torn@shard:1;wal.torn=torn@shard:2;wal.append=err@5");
+  EXPECT_NE(got.fault_json.find("lost an epoch"), std::string::npos)
+      << got.fault_json;
+  const std::size_t shard1 = got.fault_json.find("\"shard\":1,");
+  const std::size_t shard2 = got.fault_json.find("\"shard\":2,");
+  ASSERT_NE(shard1, std::string::npos);
+  ASSERT_NE(shard2, std::string::npos);
+  const std::string one = got.fault_json.substr(shard1, shard2 - shard1);
+  const std::string two = got.fault_json.substr(shard2);
+  EXPECT_NE(one.find("lost an epoch"), std::string::npos) << one;
+  EXPECT_NE(one.find("\"redo_backlog\":0"), std::string::npos) << one;
+  EXPECT_EQ(two.find("lost an epoch"), std::string::npos) << two;
+  EXPECT_NE(two.find("\"redo_backlog\":1"), std::string::npos) << two;
 }
 
 // The tentpole scenario: one shard's WAL dies mid-batch. The shard is

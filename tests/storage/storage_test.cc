@@ -38,14 +38,14 @@ TEST(PageFileTest, FreshPagesAreZeroed) {
   }
 }
 
-// Pages come from shared blocks whose bytes are not zeroed up front, so
-// a fresh page must read as zero even where the allocator hands back
-// memory an earlier file filled, and every page must keep its address
+// Pages come from shared blocks whose bytes are never cleared by the
+// file, so a fresh page must read as zero even where an earlier file's
+// blocks were mapped and filled, and every page must keep its address
 // while the file grows by whole blocks.
 TEST(PageFileTest, PagesAcrossBlocksStartZeroedAndStayPut) {
-  const std::size_t n = 3 * PageFile::kPagesPerBlock + 1;
   for (int round = 0; round < 2; ++round) {
     PageFile file(128);
+    const std::size_t n = 3 * file.pages_per_block() + 1;
     std::vector<const Page*> pages;
     for (std::size_t i = 0; i < n; ++i) {
       const PageId id = file.Allocate().ValueOrDie();
@@ -61,6 +61,32 @@ TEST(PageFileTest, PagesAcrossBlocksStartZeroedAndStayPut) {
       EXPECT_EQ(page, pages[id]);
       EXPECT_EQ(page->ReadAt<std::uint8_t>(0), 0xAB);
       EXPECT_EQ(page->ReadAt<std::uint8_t>(page->size() - 1), 0xAB);
+    }
+  }
+}
+
+// A block is one mapping: at the default 1 KiB page, 63 pages and their
+// headers fill it; a page larger than a block still gets a whole block
+// of usable bytes.
+TEST(PageFileTest, BlocksPackPagesAndHeadersIntoOneMapping) {
+  EXPECT_EQ(PageFile(1024).pages_per_block(), 63u);
+  for (std::size_t page_size : {std::size_t{100}, std::size_t{1024},
+                                std::size_t{4096}, std::size_t{100000}}) {
+    PageFile file(page_size);
+    EXPECT_GE(file.pages_per_block(), 1u);
+    for (std::size_t i = 0; i < file.pages_per_block() + 1; ++i) {
+      const PageId id = file.Allocate().ValueOrDie();
+      Page* page = file.GetPageForWrite(id).ValueOrDie();
+      ASSERT_EQ(page->size(), page_size);
+      EXPECT_EQ(page->ReadAt<std::uint8_t>(page_size - 1), 0);
+      page->WriteAt<std::uint8_t>(0, 0x5A);
+      page->WriteAt<std::uint8_t>(page_size - 1, 0xA5);
+    }
+    for (PageId id = 0; id < file.num_pages(); ++id) {
+      const Page* page = file.ReadPage(id).ValueOrDie();
+      EXPECT_EQ(page->ReadAt<std::uint8_t>(0), 0x5A) << "page " << id;
+      EXPECT_EQ(page->ReadAt<std::uint8_t>(page_size - 1), 0xA5)
+          << "page " << id;
     }
   }
 }

@@ -186,6 +186,35 @@ TEST(MvbtTest, InPlaceUpdatesAreAtomicUnderIoFaults) {
   EXPECT_TRUE(fx.tree.CheckInvariants().ok());
 }
 
+// An update's root-to-leaf path has a fixed capacity, so a descent that
+// never reaches a leaf — here every router of every internal node points
+// back at its own page — stops at the height bound with Corruption and
+// writes nothing.
+TEST(MvbtTest, RouterCycleIsCorruptionNotAnEndlessDescent) {
+  Fixture fx(512, 10);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(fx.tree.Insert(1, i * 10, i).ok());
+  }
+  bool internal = false;
+  for (PageId id = 0; id < fx.file.num_pages(); ++id) {
+    Page* page = fx.file.GetPageForWrite(id).ValueOrDie();
+    if (page->ReadAt<std::uint8_t>(0) != 0) continue;  // a leaf
+    internal = true;
+    const std::uint16_t count = page->ReadAt<std::uint16_t>(2);
+    for (std::uint16_t i = 0; i < count; ++i) {
+      page->WriteAt<Value>(
+          NodeLayout::kHeaderBytes + i * NodeLayout::kEntryBytes + 32, id);
+    }
+  }
+  ASSERT_TRUE(internal) << "the root must not be a leaf";
+  const auto before = PageBytes(&fx.file);
+  const Status insert = fx.tree.Insert(2, 5, 99);
+  EXPECT_TRUE(insert.IsCorruption()) << insert.ToString();
+  const Status erase = fx.tree.Erase(2, 10);
+  EXPECT_TRUE(erase.IsCorruption()) << erase.ToString();
+  EXPECT_EQ(PageBytes(&fx.file), before);
+}
+
 // ---------------------------------------------------------------------------
 // Property test: random insert/delete workload vs a snapshot oracle.
 // ---------------------------------------------------------------------------

@@ -70,10 +70,16 @@
 //       percentiles (p50/p95/p99), the per-batch buffer-pool hit rate and
 //       aggregate node-access cost, then checks buffer-pool integrity.
 //       --metrics additionally enables the global metrics registry and
-//       dumps it after the run. Exit 0: every query succeeded and the
-//       pool verified; 1: the index failed to load or a query failed
-//       (a clean failure, e.g. an injected fault); 2: the buffer pool
-//       failed verification after the run.
+//       dumps it after the run. Failpoints armed by TAR_FAILPOINTS apply
+//       to the query batch only: the index loads and the queries are
+//       drawn with the injector cleared, then the spec is re-armed, so
+//       an @nth selector counts hits from the first query. Queries reach
+//       `buffer_pool.fetch` and `tia.aggregate`, and `page_file.read`
+//       only on a pool miss, which the pool, warm after the load, may
+//       never take; load-time sites belong on `tartool check`. Exit 0:
+//       every query succeeded and the pool verified; 1: the index failed
+//       to load or a query failed (a clean failure, e.g. an injected
+//       fault); 2: the buffer pool failed verification after the run.
 //
 //   tartool chaos [--seed N | --seeds N] [--threads T] [--deadline-ms D]
 //           [--delay-ms M] [--path P]
@@ -517,6 +523,11 @@ int QueryCmd(const std::map<std::string, std::string>& flags) {
 }
 
 int Stress(const std::map<std::string, std::string>& flags) {
+  // TAR_FAILPOINTS aims at the query batch: the index loads, and the
+  // queries are drawn from it, with the injector cleared; the spec is
+  // re-armed (its hit counters from zero) just before the batch runs.
+  fail::FaultInjector& injector = fail::FaultInjector::Global();
+  injector.Clear();
   auto loaded = TarTree::LoadFromFile(Flag(flags, "index", "index.tart"));
   if (!loaded.ok()) {
     std::fprintf(stderr, "load failed: %s\n",
@@ -562,6 +573,10 @@ int Stress(const std::map<std::string, std::string>& flags) {
     queries.push_back(q);
   }
 
+  if (const char* spec = std::getenv("TAR_FAILPOINTS")) {
+    // Parsed once already: an invalid spec aborted at startup.
+    if (!injector.Configure(spec).ok()) return 1;
+  }
   ParallelQueryReport report;
   Status st = RunParallelQueries(tree, queries, opt, &report);
   if (!st.ok()) {
@@ -2475,8 +2490,9 @@ int Usage() {
                "           [--deadline-ms D] [--allow-partial]\n"
                "  stress   --index INDEX --threads N --queries M [--k K]"
                " [--days D] [--alpha A] [--seed S] [--metrics]\n"
-               "           (exit 1: a load or query failed;"
-               " 2: the buffer pool failed verification)\n"
+               "           (TAR_FAILPOINTS is armed once the index has"
+               " loaded; exit 1: a load or query failed;\n"
+               "           2: the buffer pool failed verification)\n"
                "  ingest   --input FILE --store PREFIX [--strategy tar|spa|"
                "agg] [--threshold N]\n"
                "           [--epoch-days D] [--backend mvbt|flat]"
