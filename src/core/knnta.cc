@@ -58,6 +58,15 @@ class TiaTimer {
   Clock::time_point start_;
 };
 
+/// Cache hints for scoring `node`'s entries: starts loading every entry's
+/// TIA object now, so that by the time the scoring loop reaches an entry
+/// (and, one entry earlier, asks for its live root page with
+/// Tia::Prefetch) the object is in cache. Pure hints: no page is fetched,
+/// no LRU frame moves and nothing is charged.
+void PrefetchTias(const TarTree::Node& node) {
+  for (const TarTree::Entry& e : node.entries) __builtin_prefetch(e.tia.get());
+}
+
 /// Brackets one read of a forest tree: its failpoint shard scope for the
 /// node and TIA reads, and the tree's `read` mark.
 class TreeRead {
@@ -199,10 +208,12 @@ Result<std::int64_t> TarTree::MaxAggregateLoop(
       ++stats->rtree_node_reads;
       if (node.is_leaf()) ++stats->rtree_leaf_reads;
     }
+    PrefetchTias(node);
     const std::string node_path = "node:" + std::to_string(node_id);
     for (std::size_t i = 0; i < node.entries.size(); ++i) {
       TAR_CHECK_CANCEL(deadline);
       const Entry& e = node.entries[i];
+      if (i + 1 < node.entries.size()) node.entries[i + 1].tia->Prefetch();
       if (stats != nullptr) ++stats->entries_scanned;
       Result<std::int64_t> agg = [&] {
         TiaTimer timer(phase);
@@ -465,10 +476,12 @@ Status TarTree::BestFirstLoop(const KnntaQuery& query, const QueryContext& ctx,
       ++stats->rtree_node_reads;
       if (node.is_leaf()) ++stats->rtree_leaf_reads;
     }
+    PrefetchTias(node);
     const std::string node_path = "node:" + std::to_string(node_id);
     for (std::size_t i = 0; i < node.entries.size(); ++i) {
       TAR_CHECK_CANCEL(deadline);
       const Entry& e = node.entries[i];
+      if (i + 1 < node.entries.size()) node.entries[i + 1].tia->Prefetch();
       if (stats != nullptr) ++stats->entries_scanned;
       double s0 = 0.0;
       double s1 = 0.0;

@@ -55,6 +55,27 @@ bool SpatiallyContains(const Box3& box, const Vec2& p) {
          p.y <= box.hi[1];
 }
 
+/// PrevalidateEpoch's checks over any range of (poi, aggregate) pairs — a
+/// batch's map, or a WAL record's pair vector read in place: the epoch
+/// index, and for each positive aggregate a known POI and a packable
+/// record.
+template <typename PoiMap, typename Aggregates>
+Status ValidateEpochAggregates(const EpochGrid& grid, const PoiMap& known,
+                               std::int64_t epoch, const Aggregates& aggs) {
+  if (epoch < 0) {
+    return Status::InvalidArgument("negative epoch index");
+  }
+  const TimeInterval extent = grid.EpochExtent(epoch);
+  for (const auto& [poi, agg] : aggs) {
+    if (agg <= 0) continue;
+    if (known.find(poi) == known.end()) {
+      return Status::InvalidArgument("epoch batch contains unknown POI");
+    }
+    TAR_RETURN_NOT_OK(Tia::CheckPackable(extent, agg));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 std::size_t TarTreeOptions::NodeCapacity() const {
@@ -201,18 +222,7 @@ Status TarTree::PrevalidateInsert(const Poi& poi) const {
 Status TarTree::PrevalidateEpoch(
     std::int64_t epoch,
     const std::unordered_map<PoiId, std::int64_t>& aggs) const {
-  if (epoch < 0) {
-    return Status::InvalidArgument("negative epoch index");
-  }
-  TimeInterval extent = options_.grid.EpochExtent(epoch);
-  for (const auto& [poi, agg] : aggs) {
-    if (agg <= 0) continue;
-    if (poi_info_.find(poi) == poi_info_.end()) {
-      return Status::InvalidArgument("epoch batch contains unknown POI");
-    }
-    TAR_RETURN_NOT_OK(Tia::CheckPackable(extent, agg));
-  }
-  return Status::OK();
+  return ValidateEpochAggregates(options_.grid, poi_info_, epoch, aggs);
 }
 
 Status TarTree::PrevalidateRecord(const WalRecord& record) const {
@@ -230,12 +240,12 @@ Status TarTree::PrevalidateRecord(const WalRecord& record) const {
       }
       return Status::OK();
     }
-    case WalRecord::Type::kAppendEpoch: {
-      std::unordered_map<PoiId, std::int64_t> aggs;
-      aggs.reserve(record.aggs.size());
-      for (const auto& [poi, agg] : record.aggs) aggs[poi] = agg;
-      return PrevalidateEpoch(record.epoch, aggs);
-    }
+    case WalRecord::Type::kAppendEpoch:
+      // In place, without the map ApplyWalRecord builds: a record names
+      // each POI once (its pairs come from a batch map), so its pairs are
+      // that map's.
+      return ValidateEpochAggregates(options_.grid, poi_info_, record.epoch,
+                                     record.aggs);
   }
   return Status::InvalidArgument("unknown WAL record type");
 }

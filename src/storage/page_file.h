@@ -44,8 +44,9 @@ namespace tar {
 /// maps new blocks without moving any block's bytes or headers), so a
 /// Page* handed out by ReadPage/GetPageForWrite, and the bytes it points
 /// to, stay valid at the same address until the PageFile is destroyed.
-/// BufferPool relies on this: it caches those pointers and serves hits
-/// from them without calling the PageFile.
+/// BufferPool relies on this: it caches the pages' byte addresses and
+/// serves hits from them without calling the PageFile, and an MVBT keeps
+/// its live root page's byte address for prefetch hints.
 ///
 /// Thread safety: the page directory is latched and the counters are
 /// atomic, so Allocate and the page accessors may be called concurrently.

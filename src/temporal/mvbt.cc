@@ -19,7 +19,7 @@ bool MovesToCopy(const Entry& e, Version v) {
 }  // namespace
 
 Mvbt::Mvbt(PageFile* file, BufferPool* pool, OwnerId owner)
-    : file_(file), pool_(pool), owner_(owner),
+    : pool_(pool), owner_(owner), file_(file),
       capacity_(NodeLayout::Capacity(file->page_size())) {
   TAR_CHECK(capacity_ >= 8 && "page size too small for an MVBT node");
   min_live_ = std::max<std::size_t>(2, capacity_ / 5);
@@ -29,18 +29,6 @@ Mvbt::Mvbt(PageFile* file, BufferPool* pool, OwnerId owner)
   // above strong_low_, or splits could cascade forever.
   TAR_CHECK(strong_high_ + 1 >= 2 * strong_low_ &&
             strong_high_ > strong_low_);
-}
-
-Entry Mvbt::EntryAt(const Page& page, std::size_t index) {
-  const std::size_t off =
-      NodeLayout::kHeaderBytes + index * NodeLayout::kEntryBytes;
-  Entry e;
-  e.key_lo = page.ReadAt<Key>(off);
-  e.key_hi = page.ReadAt<Key>(off + 8);
-  e.v_start = page.ReadAt<Version>(off + 16);
-  e.v_end = page.ReadAt<Version>(off + 24);
-  e.value = page.ReadAt<Value>(off + 32);
-  return e;
 }
 
 void Mvbt::PutEntry(Page* page, std::size_t index, const Entry& e) {
@@ -53,7 +41,7 @@ void Mvbt::PutEntry(Page* page, std::size_t index, const Entry& e) {
   page->WriteAt<Value>(off + 32, e.value);
 }
 
-void Mvbt::Decode(const Page& page, Node* node) {
+void Mvbt::Decode(PageView page, Node* node) {
   node->is_leaf = page.ReadAt<std::uint8_t>(0) != 0;
   const std::uint16_t count = page.ReadAt<std::uint16_t>(2);
   node->entries.resize(count);
@@ -64,29 +52,16 @@ void Mvbt::Decode(const Page& page, Node* node) {
 
 Status Mvbt::LoadForUpdate(PageId id, Node* node) const {
   TAR_ASSIGN_OR_RETURN(const Page* page, file_->ReadPage(id));
-  Decode(*page, node);
+  Decode(page->view(), node);
   return Status::OK();
 }
 
-Result<const Page*> Mvbt::FetchForQuery(PageId id, AccessStats* stats) const {
-  bool hit = false;
-  auto res = pool_->Fetch(owner_, id, &hit);
-  if (!res.ok()) return res.status();
-  if (stats != nullptr) {
-    if (hit) {
-      ++stats->tia_buffer_hits;
-    } else {
-      ++stats->tia_page_reads;
-    }
-  }
-  return res;
-}
-
-Status Mvbt::Store(PageId id, const Node& node) {
+Status Mvbt::Store(PageId id, const Node& node, const std::uint8_t** bytes) {
   if (node.entries.size() > capacity_) {
     return Status::Corruption("MVBT node exceeds block capacity");
   }
   TAR_ASSIGN_OR_RETURN(Page* page, file_->GetPageForWrite(id));
+  if (bytes != nullptr) *bytes = page->data();
   page->WriteAt<std::uint8_t>(0, node.is_leaf ? 1 : 0);
   page->WriteAt<std::uint16_t>(2, static_cast<std::uint16_t>(
                                       node.entries.size()));
@@ -96,15 +71,28 @@ Status Mvbt::Store(PageId id, const Node& node) {
   return Status::OK();
 }
 
-PageId Mvbt::AllocateNode(const Node& node, Status* st) {
+PageId Mvbt::AllocateNode(const Node& node, Status* st,
+                          const std::uint8_t** bytes) {
   Result<PageId> id = file_->Allocate();
   if (!id.ok()) {
     if (st != nullptr) *st = id.status();
     return kInvalidPageId;
   }
-  Status s = Store(id.ValueOrDie(), node);
+  Status s = Store(id.ValueOrDie(), node, bytes);
   if (!s.ok() && st != nullptr) *st = s;
   return id.ValueOrDie();
+}
+
+void Mvbt::CloseRoot(Version v) {
+  roots_.back().v_end = v;
+  if (roots_.back().v_end == roots_.back().v_start) roots_.pop_back();
+  live_root_ = LiveRoot{};
+}
+
+void Mvbt::OpenRoot(Version v, PageId page, bool is_leaf,
+                    const std::uint8_t* bytes) {
+  roots_.push_back(RootEntry{v, kVersionAlive, page});
+  live_root_ = LiveRoot{page, is_leaf, bytes};
 }
 
 std::optional<Mvbt::RootEntry> Mvbt::RootAt(Version v) const {
@@ -117,9 +105,10 @@ std::optional<Mvbt::RootEntry> Mvbt::RootAt(Version v) const {
 
 Result<const Page*> Mvbt::FindLeafPath(Version v, Key key,
                                        Path* path) const {
-  auto root = RootAt(v);
-  if (!root.has_value()) return Status::NotFound("empty tree at version");
-  PageId page_id = root->page;
+  PageId page_id = RootPageAt(v);
+  if (page_id == kInvalidPageId) {
+    return Status::NotFound("empty tree at version");
+  }
   for (;;) {
     if (path->height == Path::kMaxHeight) {
       return Status::Corruption("MVBT descent deeper than " +
@@ -132,7 +121,7 @@ Result<const Page*> Mvbt::FindLeafPath(Version v, Key key,
     const std::uint16_t count = page->ReadAt<std::uint16_t>(2);
     PageId next = kInvalidPageId;
     for (std::uint16_t i = 0; i < count; ++i) {
-      const Entry e = EntryAt(*page, i);
+      const Entry e = EntryAt(page->view(), i);
       if (e.alive() && e.key_lo <= key && key < e.key_hi) {
         next = static_cast<PageId>(e.value);
         break;
@@ -160,9 +149,10 @@ Status Mvbt::Insert(Version v, Key key, Value value) {
     root.is_leaf = true;
     root.entries.push_back(record);
     Status st = Status::OK();
-    PageId page = AllocateNode(root, &st);
+    const std::uint8_t* bytes = nullptr;
+    PageId page = AllocateNode(root, &st, &bytes);
     TAR_RETURN_NOT_OK(st);
-    roots_.push_back(RootEntry{v, kVersionAlive, page, true});
+    OpenRoot(v, page, true, bytes);
     return Status::OK();
   }
 
@@ -171,7 +161,7 @@ Status Mvbt::Insert(Version v, Key key, Value value) {
   const std::uint16_t count = leaf->ReadAt<std::uint16_t>(2);
   std::size_t live = 0;
   for (std::uint16_t i = 0; i < count; ++i) {
-    const Entry e = EntryAt(*leaf, i);
+    const Entry e = EntryAt(leaf->view(), i);
     if (!e.alive()) continue;
     if (e.key_lo == key) {
       return Status::AlreadyExists("live key already present");
@@ -187,7 +177,7 @@ Status Mvbt::Insert(Version v, Key key, Value value) {
     return Status::OK();
   }
   Node node;
-  Decode(*leaf, &node);
+  Decode(leaf->view(), &node);
   node.entries.push_back(record);
   return Restructure(v, path, path.height - 1, std::move(node));
 }
@@ -207,7 +197,7 @@ Status Mvbt::Erase(Version v, Key key) {
   std::size_t slot = count;
   Entry erased;
   for (std::uint16_t i = 0; i < count; ++i) {
-    const Entry e = EntryAt(*leaf, i);
+    const Entry e = EntryAt(leaf->view(), i);
     if (!e.alive()) continue;
     ++live;
     if (slot == count && e.key_lo == key) {
@@ -224,7 +214,7 @@ Status Mvbt::Erase(Version v, Key key) {
     return Status::OK();
   }
   Node node;
-  Decode(*leaf, &node);
+  Decode(leaf->view(), &node);
   if (erased.v_start == v) {
     // Inserted and deleted at the same version: never visible.
     node.entries.erase(node.entries.begin() +
@@ -251,15 +241,11 @@ Status Mvbt::Restructure(Version v, const Path& path, std::size_t level,
       // Height decrease: the single live child becomes the root from v on.
       for (const Entry& e : node.entries) {
         if (e.alive()) {
-          Node child;
-          TAR_RETURN_NOT_OK(LoadForUpdate(static_cast<PageId>(e.value),
-                                          &child));
-          // Close the current root period and open one for the child.
-          roots_.back().v_end = v;
-          if (roots_.back().v_end == roots_.back().v_start) roots_.pop_back();
-          roots_.push_back(RootEntry{v, kVersionAlive,
-                                     static_cast<PageId>(e.value),
-                                     child.is_leaf});
+          const auto child_id = static_cast<PageId>(e.value);
+          TAR_ASSIGN_OR_RETURN(const Page* child, file_->ReadPage(child_id));
+          CloseRoot(v);
+          OpenRoot(v, child_id, child->ReadAt<std::uint8_t>(0) != 0,
+                   child->data());
           break;
         }
       }
@@ -293,20 +279,19 @@ Status Mvbt::Restructure(Version v, const Path& path, std::size_t level,
 
   // Root-level structural change.
   TAR_RETURN_NOT_OK(VersionSplit(v, page, node, nullptr, &op));
-  roots_.back().v_end = v;
-  if (roots_.back().v_end == roots_.back().v_start) roots_.pop_back();
+  CloseRoot(v);
   if (op.new_entries.size() == 1) {
-    roots_.push_back(RootEntry{v, kVersionAlive,
-                               static_cast<PageId>(op.new_entries[0].value),
-                               node.is_leaf});
+    OpenRoot(v, static_cast<PageId>(op.new_entries[0].value), node.is_leaf,
+             op.copy_bytes);
   } else {
     Node new_root;
     new_root.is_leaf = false;
     new_root.entries = op.new_entries;
     Status st = Status::OK();
-    PageId root_page = AllocateNode(new_root, &st);
+    const std::uint8_t* bytes = nullptr;
+    PageId root_page = AllocateNode(new_root, &st, &bytes);
     TAR_RETURN_NOT_OK(st);
-    roots_.push_back(RootEntry{v, kVersionAlive, root_page, false});
+    OpenRoot(v, root_page, false, bytes);
   }
   return Status::OK();
 }
@@ -403,7 +388,7 @@ Status Mvbt::VersionSplit(Version v, PageId page_id, const Node& node,
   }
 
   Status st = Status::OK();
-  PageId copy_page = AllocateNode(copy, &st);
+  PageId copy_page = AllocateNode(copy, &st, &op->copy_bytes);
   TAR_RETURN_NOT_OK(st);
   op->new_entries.push_back(
       Entry{lo, hi, v, kVersionAlive, static_cast<Value>(copy_page)});
@@ -412,16 +397,15 @@ Status Mvbt::VersionSplit(Version v, PageId page_id, const Node& node,
 
 Result<std::optional<Value>> Mvbt::Lookup(Version v, Key key,
                                           AccessStats* stats) const {
-  auto root = RootAt(v);
-  if (!root.has_value()) return std::optional<Value>{};
-  PageId page_id = root->page;
+  PageId page_id = RootPageAt(v);
+  if (page_id == kInvalidPageId) return std::optional<Value>{};
   for (;;) {
-    TAR_ASSIGN_OR_RETURN(const Page* page, FetchForQuery(page_id, stats));
-    bool is_leaf = page->ReadAt<std::uint8_t>(0) != 0;
-    std::uint16_t count = page->ReadAt<std::uint16_t>(2);
+    TAR_ASSIGN_OR_RETURN(const PageView page, FetchForQuery(page_id, stats));
+    bool is_leaf = page.ReadAt<std::uint8_t>(0) != 0;
+    std::uint16_t count = page.ReadAt<std::uint16_t>(2);
     if (is_leaf) {
       for (std::uint16_t i = 0; i < count; ++i) {
-        Entry e = EntryAt(*page, i);
+        Entry e = EntryAt(page, i);
         if (e.AliveAt(v) && e.key_lo == key) {
           return std::optional<Value>{e.value};
         }
@@ -430,7 +414,7 @@ Result<std::optional<Value>> Mvbt::Lookup(Version v, Key key,
     }
     PageId next = kInvalidPageId;
     for (std::uint16_t i = 0; i < count; ++i) {
-      Entry e = EntryAt(*page, i);
+      Entry e = EntryAt(page, i);
       if (e.AliveAt(v) && e.key_lo <= key && key < e.key_hi) {
         next = static_cast<PageId>(e.value);
         break;
@@ -464,6 +448,17 @@ Result<std::size_t> Mvbt::CountAlive(Version v) const {
 }
 
 Status Mvbt::CheckInvariants() const {
+  // The live-root cache must name the root directory's open entry; the
+  // walk at the latest version below checks its bytes and leaf flag
+  // against the root page itself.
+  const bool open = !roots_.empty() && roots_.back().v_end == kVersionAlive;
+  if (open ? live_root_.page != roots_.back().page
+           : live_root_.page != kInvalidPageId) {
+    return Status::Corruption(
+        "stale cached live root: page " + std::to_string(live_root_.page) +
+        " but the root directory's open entry is " +
+        (open ? "page " + std::to_string(roots_.back().page) : "none"));
+  }
   // Check at each version where the root changed, plus the latest version.
   std::vector<Version> versions;
   for (const RootEntry& r : roots_) versions.push_back(r.v_start);
@@ -490,8 +485,15 @@ Status Mvbt::CheckInvariants() const {
     while (!stack.empty()) {
       Item item = stack.back();
       stack.pop_back();
+      TAR_ASSIGN_OR_RETURN(const Page* page, file_->ReadPage(item.page));
       Node node;
-      TAR_RETURN_NOT_OK(LoadForUpdate(item.page, &node));
+      Decode(page->view(), &node);
+      if (item.is_root && v == last_version_ &&
+          (page->data() != live_root_.bytes ||
+           node.is_leaf != live_root_.is_leaf)) {
+        return Status::Corruption("stale cached live root at " + item.path +
+                                  ": its byte address or leaf flag differs");
+      }
       if (node.entries.size() > capacity_) {
         return Status::Corruption("node over capacity at " + item.path);
       }

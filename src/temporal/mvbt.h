@@ -76,9 +76,13 @@ struct NodeLayout {
 /// Only a version split, merge or key split — or an erase at the version
 /// the record was born, which removes the entry — decodes nodes.
 ///
-/// Thread safety: const query methods (Lookup, Scan, RangeScan*) are safe
-/// concurrently — page access goes through the latched buffer pool;
-/// Insert/Erase require external exclusion.
+/// The root alive at the latest version is cached beside last_version_
+/// (LiveRoot), so a Scan or Lookup there — every TIA read — starts from it
+/// without searching the root directory.
+///
+/// Thread safety: const query methods (Lookup, Scan, RangeScan*,
+/// PrefetchLiveRoot) are safe concurrently — page access goes through the
+/// latched buffer pool; Insert/Erase require external exclusion.
 class Mvbt {
  public:
   /// \param pool buffer pool over `file`; query reads go through it using
@@ -108,9 +112,9 @@ class Mvbt {
   template <typename Visit>
   Status Scan(Version v, Key lo, Key hi, AccessStats* stats,
               Visit&& visit) const {
-    auto root = RootAt(v);
-    if (!root.has_value()) return Status::OK();
-    return ScanNode(v, root->page, lo, hi, stats, visit);
+    const PageId root = RootPageAt(v);
+    if (root == kInvalidPageId) return Status::OK();
+    return ScanNode(v, root, lo, hi, stats, visit);
   }
 
   /// All records alive at version v with key in [lo, hi], in key order.
@@ -128,6 +132,14 @@ class Mvbt {
   Version last_version() const { return last_version_; }
   bool empty() const { return roots_.empty(); }
 
+  /// A cache hint: asks the CPU to start loading the first line of the
+  /// live root page's bytes, which the next read at the latest version
+  /// fetches first. It goes through no buffer pool and no PageFile, so it
+  /// fetches nothing, moves no LRU frame and charges no access.
+  void PrefetchLiveRoot() const {
+    if (live_root_.bytes != nullptr) __builtin_prefetch(live_root_.bytes);
+  }
+
   /// Number of records alive at version v (O(result) scan; for tests).
   Result<std::size_t> CountAlive(Version v) const;
 
@@ -139,6 +151,8 @@ class Mvbt {
   std::size_t min_live() const { return min_live_; }
 
  private:
+  friend class MvbtTestPeer;
+
   struct Node {
     bool is_leaf = true;
     std::vector<Entry> entries;
@@ -156,7 +170,16 @@ class Mvbt {
     Version v_start;
     Version v_end;
     PageId page;
-    bool is_leaf;
+  };
+
+  /// The root directory's open entry (the root from its v_start on): its
+  /// page, leaf flag and byte address, set from the page an update just
+  /// wrote or read and checked by CheckInvariants; page kInvalidPageId
+  /// when there is none.
+  struct LiveRoot {
+    PageId page = kInvalidPageId;
+    bool is_leaf = true;
+    const std::uint8_t* bytes = nullptr;
   };
 
   /// The root-to-leaf page path of an update (root first), held inline so
@@ -176,30 +199,72 @@ class Mvbt {
 
   /// Pending update against a parent node: kill the live entries that point
   /// to `dead_children` at version v and append `new_entries`.
+  /// `copy_bytes` is the written page of the one new entry, if only one.
   struct ParentOp {
     std::vector<PageId> dead_children;
     std::vector<Entry> new_entries;
+    const std::uint8_t* copy_bytes = nullptr;
   };
 
   /// The entry codec: every read of a node entry (queries, LoadForUpdate,
   /// the in-place updates) goes through EntryAt, every write (Store, the
-  /// in-place updates) through PutEntry.
-  static Entry EntryAt(const Page& page, std::size_t index);
+  /// in-place updates) through PutEntry. EntryAt is inline so that the
+  /// scans instantiated in other files decode entries without a call.
+  static Entry EntryAt(PageView page, std::size_t index) {
+    const std::size_t off =
+        NodeLayout::kHeaderBytes + index * NodeLayout::kEntryBytes;
+    Entry e;
+    e.key_lo = page.ReadAt<Key>(off);
+    e.key_hi = page.ReadAt<Key>(off + 8);
+    e.v_start = page.ReadAt<Version>(off + 16);
+    e.v_end = page.ReadAt<Version>(off + 24);
+    e.value = page.ReadAt<Value>(off + 32);
+    return e;
+  }
   static void PutEntry(Page* page, std::size_t index, const Entry& e);
 
-  static void Decode(const Page& page, Node* node);
+  static void Decode(PageView page, Node* node);
   Status LoadForUpdate(PageId id, Node* node) const;
 
   /// Query-path page access through the buffer pool; hits are recorded as
   /// free, misses as TIA page reads. Queries read entries directly off the
-  /// returned page (EntryAt) — no node materialization.
-  Result<const Page*> FetchForQuery(PageId id, AccessStats* stats) const;
+  /// returned page (EntryAt) — no node materialization. Inline, like
+  /// EntryAt, for the scans instantiated in other files.
+  Result<PageView> FetchForQuery(PageId id, AccessStats* stats) const {
+    bool hit = false;
+    Result<PageView> page = pool_->Fetch(owner_, id, &hit);
+    if (page.ok() && stats != nullptr) {
+      ++(hit ? stats->tia_buffer_hits : stats->tia_page_reads);
+    }
+    return page;
+  }
 
-  Status Store(PageId id, const Node& node);
-  PageId AllocateNode(const Node& node, Status* st);
+  /// Writes `node` to page `id`; *bytes (if non-null) gets the page's
+  /// byte address.
+  Status Store(PageId id, const Node& node,
+               const std::uint8_t** bytes = nullptr);
+  PageId AllocateNode(const Node& node, Status* st,
+                      const std::uint8_t** bytes = nullptr);
 
   /// Root page alive at version v, or nullopt for an empty tree at v.
   std::optional<RootEntry> RootAt(Version v) const;
+
+  /// The root page at version v, or kInvalidPageId for an empty tree at
+  /// v: the cached live root from last_version_ on, RootAt before it.
+  PageId RootPageAt(Version v) const {
+    if (v >= last_version_) return live_root_.page;
+    const std::optional<RootEntry> root = RootAt(v);
+    return root.has_value() ? root->page : kInvalidPageId;
+  }
+
+  /// The only writers of the root directory's open entry and of the
+  /// live-root cache, so the two always agree. CloseRoot ends the open
+  /// entry at v (dropping it if it opened at v) and leaves no live root;
+  /// OpenRoot opens an entry for `page` from v on, whose bytes are at
+  /// `bytes`.
+  void CloseRoot(Version v);
+  void OpenRoot(Version v, PageId page, bool is_leaf,
+                const std::uint8_t* bytes);
 
   /// Descends from the live root to the leaf responsible for `key` with
   /// one physical read per level, recording the page path in `*path`
@@ -228,11 +293,11 @@ class Mvbt {
   template <typename Visit>
   Status ScanNode(Version v, PageId page_id, Key lo, Key hi,
                   AccessStats* stats, Visit& visit) const {
-    TAR_ASSIGN_OR_RETURN(const Page* page, FetchForQuery(page_id, stats));
-    const bool is_leaf = page->ReadAt<std::uint8_t>(0) != 0;
-    const std::uint16_t count = page->ReadAt<std::uint16_t>(2);
+    TAR_ASSIGN_OR_RETURN(const PageView page, FetchForQuery(page_id, stats));
+    const bool is_leaf = page.ReadAt<std::uint8_t>(0) != 0;
+    const std::uint16_t count = page.ReadAt<std::uint16_t>(2);
     for (std::uint16_t i = 0; i < count; ++i) {
-      const Entry e = EntryAt(*page, i);
+      const Entry e = EntryAt(page, i);
       if (!e.AliveAt(v)) continue;
       if (is_leaf) {
         if (lo <= e.key_lo && e.key_lo <= hi) visit(e.key_lo, e.value);
@@ -244,14 +309,17 @@ class Mvbt {
     return Status::OK();
   }
 
-  PageFile* file_;
+  // What a read at the latest version touches comes first, so that it
+  // shares the object's first cache line.
   BufferPool* pool_;
   OwnerId owner_;
+  Version last_version_ = 0;
+  LiveRoot live_root_;
+  PageFile* file_;
   std::size_t capacity_;     // b: max entries per node
   std::size_t min_live_;     // d: weak version condition
   std::size_t strong_low_;   // lower strong bound after restructuring
   std::size_t strong_high_;  // upper strong bound after restructuring
-  Version last_version_ = 0;
   std::vector<RootEntry> roots_;
 };
 

@@ -18,13 +18,10 @@ const char* ToString(TiaBackend backend) {
 }
 
 Tia::Tia(PageFile* file, BufferPool* pool, OwnerId owner, TiaBackend backend)
-    : owner_(owner), backend_(backend) {
-  if (backend_ == TiaBackend::kMvbt) {
-    mvbt_ = std::make_unique<mvbt::Mvbt>(file, pool, owner);
-  } else {
-    flat_ = std::make_unique<Flat>();
-  }
-}
+    : owner_(owner),
+      backend_(backend),
+      flat_(backend == TiaBackend::kFlat ? std::make_unique<Flat>() : nullptr),
+      mvbt_(file, pool, owner) {}
 
 std::int64_t Tia::Pack(const TimeInterval& extent, std::int64_t agg) {
   // value = duration (seconds, 31 bits) << 32 | aggregate (32 bits).
@@ -128,7 +125,7 @@ Result<std::optional<TiaRecord>> Tia::Find(Timestamp start) const {
     }
     return std::optional<TiaRecord>();
   }
-  auto existing = mvbt_->Lookup(mvbt_->last_version(), start);
+  auto existing = mvbt_.Lookup(mvbt_.last_version(), start);
   if (!existing.ok()) return existing.status();
   const std::optional<std::int64_t> stored = existing.ValueOrDie();
   if (!stored.has_value()) return std::optional<TiaRecord>();
@@ -156,7 +153,7 @@ Status Tia::Append(const TimeInterval& extent, std::int64_t aggregate) {
     TAR_RETURN_NOT_OK(flat_->Insert(extent, aggregate));
   } else {
     TAR_RETURN_NOT_OK(
-        mvbt_->Insert(++op_counter_, extent.start, Pack(extent, aggregate)));
+        mvbt_.Insert(++op_counter_, extent.start, Pack(extent, aggregate)));
   }
   total_ += aggregate;
   ++num_records_;
@@ -183,9 +180,9 @@ Status Tia::RaiseTo(const TimeInterval& extent, std::int64_t aggregate) {
     flat_->records[at].aggregate = aggregate;
     flat_->RebuildPrefix(at);
   } else {
-    TAR_RETURN_NOT_OK(mvbt_->Erase(++op_counter_, extent.start));
+    TAR_RETURN_NOT_OK(mvbt_.Erase(++op_counter_, extent.start));
     TAR_RETURN_NOT_OK(
-        mvbt_->Insert(++op_counter_, extent.start, Pack(extent, aggregate)));
+        mvbt_.Insert(++op_counter_, extent.start, Pack(extent, aggregate)));
   }
   total_ += aggregate - old->aggregate;
   return Status::OK();
@@ -214,8 +211,8 @@ Result<std::int64_t> Tia::Aggregate(const TimeInterval& iq,
       counted != nullptr ? counted->tia_page_reads : 0;
   std::int64_t sum = 0;
   std::size_t in_range = 0;
-  TAR_RETURN_NOT_OK(mvbt_->Scan(
-      mvbt_->last_version(), iq.start, iq.end, counted,
+  TAR_RETURN_NOT_OK(mvbt_.Scan(
+      mvbt_.last_version(), iq.start, iq.end, counted,
       [&](mvbt::Key ts, mvbt::Value value) {
         ++in_range;
         const TiaRecord rec = Unpack(ts, value);
@@ -244,8 +241,8 @@ Status Tia::CheckBackend() const {
     }
     return Status::OK();
   }
-  TAR_RETURN_NOT_OK(mvbt_->CheckInvariants());
-  auto live = mvbt_->CountAlive(mvbt_->last_version());
+  TAR_RETURN_NOT_OK(mvbt_.CheckInvariants());
+  auto live = mvbt_.CountAlive(mvbt_.last_version());
   if (!live.ok()) return live.status();
   if (live.ValueOrDie() != num_records_) {
     return Status::Corruption(
@@ -265,7 +262,7 @@ Status Tia::Records(std::vector<TiaRecord>* out, AccessStats* stats) const {
   // hi must be INT64_MAX (the old INT64_MAX - 1 bound dropped a record
   // keyed at the maximum representable timestamp).
   TAR_RETURN_NOT_OK(
-      mvbt_->RangeScanCurrent(INT64_MIN, INT64_MAX, &hits, stats));
+      mvbt_.RangeScanCurrent(INT64_MIN, INT64_MAX, &hits, stats));
   out->reserve(hits.size());
   for (const auto& [ts, value] : hits) out->push_back(Unpack(ts, value));
   return Status::OK();

@@ -52,14 +52,18 @@ const char* ToString(TiaBackend backend);
 
 /// \brief Temporal index on the aggregate of one TAR-tree entry.
 ///
-/// Thread safety: const reads (Aggregate, Records) are safe concurrently
-/// — they only mutate the latched buffer pool (MVBT) or nothing (flat);
-/// Append/RaiseTo require external exclusion.
+/// The MVBT is held inline, so a read at the latest version reaches the
+/// MVBT's cached live root without following a pointer from the TIA.
+///
+/// Thread safety: const reads (Aggregate, Records, Prefetch) are safe
+/// concurrently — they only mutate the latched buffer pool (MVBT) or
+/// nothing (flat); Append/RaiseTo require external exclusion.
 class Tia {
  public:
   /// \param owner buffer-pool owner id; the paper gives each TIA its own
   ///        small buffer quota (10 slots by default). A flat TIA keeps the
-  ///        id as its name but never touches `file` or `pool`.
+  ///        id as its name but never reads or writes a page of `file` or
+  ///        fetches through `pool`.
   Tia(PageFile* file, BufferPool* pool, OwnerId owner,
       TiaBackend backend = TiaBackend::kMvbt);
 
@@ -91,6 +95,13 @@ class Tia {
   Result<std::int64_t> Aggregate(const TimeInterval& iq,
                                  AccessStats* stats = nullptr,
                                  QueryDeadline* deadline = nullptr) const;
+
+  /// A cache hint for a coming Aggregate: on the MVBT, starts loading the
+  /// live root page's bytes (Mvbt::PrefetchLiveRoot). It fetches nothing
+  /// through the pool and charges nothing; a flat TIA does nothing.
+  void Prefetch() const {
+    if (flat_ == nullptr) mvbt_.PrefetchLiveRoot();
+  }
 
   /// All records in time order.
   Status Records(std::vector<TiaRecord>* out,
@@ -146,13 +157,13 @@ class Tia {
   /// The stored record of the epoch starting at `start`, if any.
   Result<std::optional<TiaRecord>> Find(Timestamp start) const;
 
+  // What a read touches comes first: the backend test (flat_), then the
+  // MVBT, whose own first fields are the ones a read uses. A flat TIA
+  // (flat_ non-null) leaves its MVBT empty, which allocates no page.
   OwnerId owner_;
   TiaBackend backend_;
-  // Exactly one is non-null, selected by backend_ (unique_ptr rather than
-  // optional: only the active backend occupies memory, and no
-  // optional-access pattern for static analysis to second-guess).
-  std::unique_ptr<mvbt::Mvbt> mvbt_;
   std::unique_ptr<Flat> flat_;
+  mvbt::Mvbt mvbt_;
   mvbt::Version op_counter_ = 0;
   std::int64_t total_ = 0;
   std::size_t num_records_ = 0;

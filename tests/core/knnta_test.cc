@@ -276,5 +276,61 @@ TEST(QueryAuditHookTest, BestFirstSearchEmitsCertificates) {
 #endif
 }
 
+// Tia::Prefetch (which both best-first loops call on the next entry) is a
+// cache hint: it fetches nothing through the pool and reads nothing from
+// the file. Hinting every TIA of a tree moves no counter and no LRU frame,
+// so the queries that follow cost exactly what they cost on an identical
+// tree that was never hinted.
+TEST(PrefetchHintTest, HintsChargeNothingAndMoveNoFrame) {
+  Fixture hinted(21);
+  Fixture plain(21);
+  const BufferPool& pool = *hinted.tree->tia_buffer_pool();
+  const PageFile& file = *pool.file();
+  const BufferPool::CounterSnapshot before = pool.Snapshot();
+  const std::uint64_t reads = file.physical_reads();
+  const std::uint64_t writes = file.physical_writes();
+  std::size_t tias = 0;
+  std::vector<TarTree::NodeId> stack{hinted.tree->root()};
+  while (!stack.empty()) {
+    const TarTree::Node& node = hinted.tree->node(stack.back());
+    stack.pop_back();
+    for (const TarTree::Entry& e : node.entries) {
+      e.tia->Prefetch();
+      ++tias;
+      if (!node.is_leaf()) stack.push_back(e.child);
+    }
+  }
+  hinted.tree->global_tia().Prefetch();
+  ASSERT_GT(tias, 500u);
+  EXPECT_EQ(pool.Snapshot().hits, before.hits);
+  EXPECT_EQ(pool.Snapshot().misses, before.misses);
+  EXPECT_EQ(file.physical_reads(), reads);
+  EXPECT_EQ(file.physical_writes(), writes);
+
+  for (int i = 0; i < 20; ++i) {
+    const std::int64_t e0 = hinted.rng.UniformInt(0, hinted.num_epochs - 1);
+    const std::int64_t e1 = hinted.rng.UniformInt(e0, hinted.num_epochs - 1);
+    KnntaQuery q;
+    q.point = {hinted.rng.Uniform(0, 100), hinted.rng.Uniform(0, 100)};
+    q.interval = {e0 * kEpochLen, (e1 + 1) * kEpochLen - 1};
+    q.k = 5;
+    std::vector<KnntaResult> got;
+    std::vector<KnntaResult> want;
+    AccessStats got_stats;
+    AccessStats want_stats;
+    ASSERT_TRUE(hinted.tree->Query(q, &got, &got_stats).ok());
+    ASSERT_TRUE(plain.tree->Query(q, &want, &want_stats).ok());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      EXPECT_EQ(got[j].poi, want[j].poi);
+    }
+    EXPECT_EQ(got_stats.ToString(), want_stats.ToString()) << "query " << i;
+  }
+  const BufferPool& plain_pool = *plain.tree->tia_buffer_pool();
+  EXPECT_EQ(pool.hits(), plain_pool.hits());
+  EXPECT_EQ(pool.misses(), plain_pool.misses());
+  EXPECT_EQ(file.physical_reads(), plain_pool.file()->physical_reads());
+}
+
 }  // namespace
 }  // namespace tar

@@ -181,9 +181,9 @@ TEST(ConcurrentBufferPoolTest, SetQuotaIsAtomicAcrossShards) {
 }
 
 TEST(ConcurrentBufferPoolTest, HitsStayValidWhileTheFileGrows) {
-  // A hit serves the page pointer cached in its frame and never consults
+  // A hit serves the byte address cached in its frame and never consults
   // the page directory, so readers hitting warm pages while another thread
-  // grows the same file must keep getting the very pages they got before
+  // grows the same file must keep getting the very bytes they got before
   // the growth.
   PageFile file(64);
   constexpr std::size_t kReaders = 4;
@@ -193,12 +193,12 @@ TEST(ConcurrentBufferPoolTest, HitsStayValidWhileTheFileGrows) {
     ASSERT_TRUE(file.Allocate().ok());
   }
   BufferPool pool(&file, kWarm);
-  std::vector<const Page*> warm(kWarm);
+  std::vector<const std::uint8_t*> warm(kWarm);
   for (OwnerId owner = 0; owner < kReaders; ++owner) {
     for (PageId id = 0; id < kWarm; ++id) {
       auto res = pool.Fetch(owner, id);
       ASSERT_TRUE(res.ok());
-      warm[id] = res.ValueOrDie();
+      warm[id] = res.ValueOrDie().data();
     }
   }
 
@@ -214,7 +214,7 @@ TEST(ConcurrentBufferPoolTest, HitsStayValidWhileTheFileGrows) {
         const auto id = static_cast<PageId>(Mix(t * kOpsPerThread + i) % kWarm);
         bool hit = false;
         auto res = pool.Fetch(static_cast<OwnerId>(t), id, &hit);
-        if (!res.ok() || !hit || res.ValueOrDie() != warm[id]) {
+        if (!res.ok() || !hit || res.ValueOrDie().data() != warm[id]) {
           wrong.fetch_add(1, std::memory_order_relaxed);
         }
         fetches.fetch_add(1, std::memory_order_relaxed);

@@ -208,7 +208,7 @@ TEST(BufferPoolTest, WritesAreVisibleThroughThePool) {
   auto res = pool.Fetch(1, a, &hit);
   ASSERT_TRUE(res.ok());
   EXPECT_TRUE(hit);
-  EXPECT_EQ(res.ValueOrDie()->ReadAt<std::int32_t>(0), 1234);
+  EXPECT_EQ(res.ValueOrDie().ReadAt<std::int32_t>(0), 1234);
 }
 
 TEST(BufferPoolTest, FetchPastTheEndCachesNothing) {

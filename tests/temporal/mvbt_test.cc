@@ -2,7 +2,10 @@
 
 #include <functional>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +14,21 @@
 #include "common/random.h"
 
 namespace tar::mvbt {
+
+/// Test-only access to the live-root cache (friend of Mvbt).
+class MvbtTestPeer {
+ public:
+  static PageId LivePage(const Mvbt& tree) { return tree.live_root_.page; }
+  static bool LiveIsLeaf(const Mvbt& tree) { return tree.live_root_.is_leaf; }
+  static const std::uint8_t* LiveBytes(const Mvbt& tree) {
+    return tree.live_root_.bytes;
+  }
+  static void SetLiveRoot(Mvbt* tree, PageId page, bool is_leaf,
+                          const std::uint8_t* bytes) {
+    tree->live_root_ = Mvbt::LiveRoot{page, is_leaf, bytes};
+  }
+};
+
 namespace {
 
 struct Fixture {
@@ -326,6 +344,97 @@ TEST(MvbtTest, PureInsertWorkloadKeepsInvariants) {
   auto count = fx.tree.CountAlive(v);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count.ValueOrDie(), 3000u);
+}
+
+// The live-root cache follows every root change: growing a tree from a
+// leaf root through several key splits, shrinking it by erasures until
+// the root collapses back to a leaf, and growing it again. CheckInvariants
+// (which compares the cache with the root directory and the root page)
+// holds after every update, and reads at the latest version agree with an
+// oracle.
+TEST(MvbtTest, LiveRootCacheFollowsRootSplitsAndMerges) {
+  Fixture fx(512, 10);
+  Rng rng(5);
+  std::map<Key, Value> live;
+  Version v = 0;
+  std::set<PageId> roots;
+  int leaf_to_internal = 0;
+  int internal_to_leaf = 0;
+  auto step = [&](bool grow) {
+    ++v;
+    if (grow || live.empty()) {
+      Key k = rng.UniformInt(0, 100000);
+      while (live.count(k) != 0) k = rng.UniformInt(0, 100000);
+      ASSERT_TRUE(fx.tree.Insert(v, k, k * 3).ok());
+      live[k] = k * 3;
+    } else {
+      auto it = live.begin();
+      std::advance(it, rng.UniformInt(0, (std::int64_t)live.size() - 1));
+      ASSERT_TRUE(fx.tree.Erase(v, it->first).ok());
+      live.erase(it);
+    }
+    const Status st = fx.tree.CheckInvariants();
+    ASSERT_TRUE(st.ok()) << "version " << v << ": " << st.ToString();
+  };
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 400; ++i) {
+      const bool was_leaf = MvbtTestPeer::LiveIsLeaf(fx.tree);
+      ASSERT_NO_FATAL_FAILURE(step(/*grow=*/rng.Uniform() < 0.85));
+      leaf_to_internal += was_leaf && !MvbtTestPeer::LiveIsLeaf(fx.tree);
+      roots.insert(MvbtTestPeer::LivePage(fx.tree));
+    }
+    while (live.size() > 3) {
+      const bool was_leaf = MvbtTestPeer::LiveIsLeaf(fx.tree);
+      ASSERT_NO_FATAL_FAILURE(step(/*grow=*/rng.Uniform() < 0.1));
+      internal_to_leaf += !was_leaf && MvbtTestPeer::LiveIsLeaf(fx.tree);
+      roots.insert(MvbtTestPeer::LivePage(fx.tree));
+    }
+    std::vector<std::pair<Key, Value>> got;
+    ASSERT_TRUE(fx.tree.RangeScanCurrent(kKeyMin, kKeyMax, &got).ok());
+    const std::vector<std::pair<Key, Value>> want(live.begin(), live.end());
+    EXPECT_EQ(got, want);
+    for (const auto& [k, val] : live) {
+      EXPECT_EQ(fx.tree.Lookup(v, k).ValueOrDie(), std::optional<Value>(val));
+    }
+  }
+  EXPECT_GE(leaf_to_internal, 2) << "each round splits the leaf root";
+  EXPECT_GE(internal_to_leaf, 2) << "each round collapses back to a leaf";
+  EXPECT_GT(roots.size(), 10u) << "root splits and merges move the root";
+}
+
+// A cache that disagrees with the root directory or with the root page —
+// its page id, byte address or leaf flag — is Corruption.
+TEST(MvbtTest, StaleLiveRootIsCorruption) {
+  Fixture fx(512, 10);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(fx.tree.Insert(1 + i / 4, i * 10, i).ok());
+  }
+  ASSERT_TRUE(fx.tree.CheckInvariants().ok());
+  const PageId page = MvbtTestPeer::LivePage(fx.tree);
+  const bool is_leaf = MvbtTestPeer::LiveIsLeaf(fx.tree);
+  const std::uint8_t* bytes = MvbtTestPeer::LiveBytes(fx.tree);
+  ASSERT_FALSE(is_leaf);
+  ASSERT_EQ(bytes, fx.file.ReadPage(page).ValueOrDie()->data());
+  const PageId other = page == 0 ? 1 : 0;
+  const std::uint8_t* other_bytes =
+      fx.file.ReadPage(other).ValueOrDie()->data();
+  using Cache = std::tuple<PageId, bool, const std::uint8_t*>;
+  const std::vector<Cache> stale = {
+      {other, is_leaf, other_bytes},
+      {kInvalidPageId, true, nullptr},
+      {page, is_leaf, other_bytes},
+      {page, !is_leaf, bytes},
+  };
+  for (const auto& [p, leaf, b] : stale) {
+    MvbtTestPeer::SetLiveRoot(&fx.tree, p, leaf, b);
+    const Status st = fx.tree.CheckInvariants();
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_NE(st.ToString().find("stale cached live root"),
+              std::string::npos)
+        << st.ToString();
+  }
+  MvbtTestPeer::SetLiveRoot(&fx.tree, page, is_leaf, bytes);
+  EXPECT_TRUE(fx.tree.CheckInvariants().ok());
 }
 
 }  // namespace
